@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -18,6 +19,22 @@ func TestRmbvetCleanRepo(t *testing.T) {
 	}
 	if !strings.Contains(out, "rmbvet: ok") {
 		t.Errorf("missing ok banner:\n%s", out)
+	}
+}
+
+// TestBenchModuleVets compiles the benchmark module (rmb/bench) and its
+// tests against this tree with `go vet`. bench/ is a module of its own,
+// so `go build ./...` here never builds it: without this check a changed
+// signature of any symbol the benchmark imports would surface only when
+// the benchmark runs.
+func TestBenchModuleVets(t *testing.T) {
+	repoRoot, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command("go", "vet", "-C", filepath.Join(repoRoot, "bench"), "./...").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go vet of the bench module failed: %v\n%s", err, out)
 	}
 }
 

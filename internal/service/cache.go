@@ -72,8 +72,10 @@ func cacheKey(spec JobSpec) (string, error) {
 type cacheEntry struct {
 	key    string
 	result loadgen.Result
-	// trace is the verbatim JSONL byte stream; hasTrace distinguishes an
-	// untraced producer from a traced run that emitted zero events.
+	// trace is the producer's sealed JSONL byte stream, shared (never
+	// copied, never written) with every job it serves; hasTrace
+	// distinguishes an untraced producer from a traced run that emitted
+	// zero events.
 	trace    []byte
 	hasTrace bool
 	// traceEvents and finalTick replay the producer's Status fields.
@@ -84,7 +86,8 @@ type cacheEntry struct {
 }
 
 // entryOverhead approximates the fixed per-entry footprint (result
-// struct, key, list and map slots) charged on top of the trace bytes.
+// struct, key, list and map slots) charged on top of the trace bytes
+// and latency samples.
 const entryOverhead = 2048
 
 // runCache is a byte-budgeted LRU of completed runs keyed by canonical
@@ -133,7 +136,9 @@ func (c *runCache) get(key string, needTrace bool) (*cacheEntry, bool) {
 // results are bit-identical by determinism, so there is nothing to
 // replace). Entries larger than the whole budget are not admitted.
 func (c *runCache) put(e *cacheEntry) {
-	e.cost = int64(len(e.trace)) + entryOverhead
+	// Charge everything the entry pins: the trace, the result's latency
+	// samples (one float64 each) and the fixed overhead.
+	e.cost = int64(len(e.trace)) + 8*int64(e.result.Latency.Count()) + entryOverhead
 	if e.cost > c.budget {
 		return
 	}

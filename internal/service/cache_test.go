@@ -234,7 +234,8 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 
 // TestRunCacheLRU exercises the byte-budgeted LRU in isolation:
 // insertion accounting, recency-ordered eviction, touch-on-get, the
-// traceless→traced upgrade, and rejection of over-budget entries.
+// traceless→traced upgrade, rejection of over-budget entries, and the
+// per-entry charge (trace plus latency samples plus overhead).
 func TestRunCacheLRU(t *testing.T) {
 	entry := func(key string, traceLen int) *cacheEntry {
 		return &cacheEntry{
@@ -290,6 +291,26 @@ func TestRunCacheLRU(t *testing.T) {
 	}
 	if st := u.stats(); st.Insertions != 1 || st.Entries != 1 || st.Bytes != entryOverhead+100 {
 		t.Fatalf("upgrade accounting: %+v", st)
+	}
+
+	// The charge covers everything an entry pins: trace bytes, eight
+	// bytes per latency sample, and the fixed overhead.
+	withLatency := func(key string, traceLen, samples int) *cacheEntry {
+		e := entry(key, traceLen)
+		for i := 0; i < samples; i++ {
+			e.result.Latency.Add(float64(i))
+		}
+		return e
+	}
+	l := newRunCache(1 << 20)
+	l.put(withLatency("lat", 300, 800))
+	if got, want := l.stats().Bytes, int64(300+8*800+entryOverhead); got != want {
+		t.Fatalf("entry with 800 latency samples charged %d bytes, want %d", got, want)
+	}
+	// Latency samples alone can push an entry over the whole budget.
+	c.put(withLatency("samples", 0, entryOverhead/8*3))
+	if _, ok := c.get("samples", false); ok {
+		t.Fatal("entry over budget by its latency samples was admitted")
 	}
 }
 

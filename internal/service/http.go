@@ -93,6 +93,12 @@ func (a *API) writeJSON(w http.ResponseWriter, code int, v any) {
 		http.Error(w, `{"error":"internal: response encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
+	a.writeEncoded(w, code, data)
+}
+
+// writeEncoded writes an already-encoded JSON value as the response
+// body. It appends to data, so data must be the caller's own bytes.
+func (a *API) writeEncoded(w http.ResponseWriter, code int, data []byte) {
 	// Keep the trailing newline json.Encoder used to emit, so response
 	// bytes are unchanged for well-formed values.
 	data = append(data, '\n')
@@ -217,7 +223,7 @@ func (a *API) checkpoint(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	ck, err := a.m.Checkpoint(r.Context(), j.ID())
+	data, err := a.m.CheckpointBytes(r.Context(), j.ID())
 	if err != nil {
 		if errors.Is(err, ErrNotRunning) {
 			a.writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
@@ -226,7 +232,8 @@ func (a *API) checkpoint(w http.ResponseWriter, r *http.Request) {
 		a.writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
-	a.writeJSON(w, http.StatusOK, ck)
+	// The worker's EncodeCheckpoint bytes are the body as they stand.
+	a.writeEncoded(w, http.StatusOK, data)
 }
 
 func (a *API) healthz(w http.ResponseWriter, r *http.Request) {

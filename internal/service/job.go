@@ -99,9 +99,15 @@ type Job struct {
 	finished *time.Time
 	// ckpt is the frozen state of a suspended job, collected by Drain.
 	ckpt *Checkpoint
-	// trace capture (nil unless the spec asked for it).
+	// Trace capture (traceW is nil unless the spec asked for it). While
+	// the job can still emit events the writer fills traceBuf; the
+	// terminal transition seals the bytes into trace, an exact-size
+	// slice that is read-only from then on and shared by reference with
+	// the run cache, cache-hit jobs and every Trace caller. traceBuf is
+	// nil once sealed.
 	traceBuf *bytes.Buffer
 	traceW   *telemetry.Writer
+	trace    []byte
 
 	// cacheKey is the canonical content address of the spec, set at
 	// Submit time ("" when caching is off or the job was resumed — a
@@ -182,13 +188,19 @@ func (j *Job) Result() (loadgen.Result, bool) {
 	return *j.result, true
 }
 
-// Trace returns a copy of the JSONL telemetry captured so far and
-// whether tracing is enabled. Safe to call while the job runs.
+// Trace returns the JSONL telemetry captured so far and whether tracing
+// is enabled. Safe to call while the job runs. Once the job is terminal
+// the trace is sealed and Trace returns the shared bytes without
+// copying: the caller must treat them as read-only. Before that it
+// returns a private copy of the still-growing stream.
 func (j *Job) Trace() ([]byte, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.traceBuf == nil {
+	if j.traceW == nil {
 		return nil, false
+	}
+	if j.traceBuf == nil {
+		return j.trace, true
 	}
 	// The writer buffers; flush so the copy includes every event. Sticky
 	// write errors surface in the job's final state, not here (writing to
@@ -272,22 +284,27 @@ func (j *Job) stampRunLocked(now time.Time) time.Duration {
 	return d
 }
 
-// closeTraceLocked seals the trace writer once no more events can
-// arrive, flushing its final chunk into traceBuf and recycling the
-// pooled chunk buffer. Trace() keeps serving the captured bytes.
+// closeTraceLocked seals the trace once no more events can arrive: it
+// closes the writer (flushing its final chunk and recycling the pooled
+// chunk buffer), copies traceBuf once into an exact-size slice and
+// drops the buffer with its growth slack. Sealing twice is a no-op.
 // Callers hold j.mu.
 func (j *Job) closeTraceLocked() {
-	if j.traceW == nil {
+	if j.traceBuf == nil {
 		return
 	}
-	if !j.obsOn {
-		_ = j.traceW.Close()
-		return
+	var start time.Time
+	if j.obsOn {
+		start = time.Now()
 	}
-	start := time.Now()
 	_ = j.traceW.Close()
-	j.timings.TraceStreamSec += time.Since(start).Seconds()
-	j.hasTimings = true
+	j.trace = make([]byte, j.traceBuf.Len())
+	copy(j.trace, j.traceBuf.Bytes())
+	j.traceBuf = nil
+	if j.obsOn {
+		j.timings.TraceStreamSec += time.Since(start).Seconds()
+		j.hasTimings = true
+	}
 }
 
 // traceEventCount returns the number of events the job's writer has
@@ -302,9 +319,9 @@ func (j *Job) traceEventCount() int64 {
 }
 
 // fulfillFromCache completes the job instantly from a memoized run. The
-// result and trace bytes are copied verbatim from the producing run —
-// the simulator is deterministic, so they are exactly what a worker
-// would have produced.
+// result is the producing run's and the trace is the entry's sealed
+// slice itself, shared rather than copied — the simulator is
+// deterministic, so both are exactly what a worker would have produced.
 func (j *Job) fulfillFromCache(e *cacheEntry) {
 	j.mu.Lock()
 	now := time.Now()
@@ -315,8 +332,12 @@ func (j *Job) fulfillFromCache(e *cacheEntry) {
 	j.finished = &now
 	j.cached = true
 	j.tick.Store(e.finalTick)
-	if j.traceBuf != nil {
-		j.traceBuf.Write(e.trace)
+	if j.traceW != nil {
+		// The writer never saw an event; closing it only recycles its
+		// chunk buffer.
+		_ = j.traceW.Close()
+		j.traceBuf = nil
+		j.trace = e.trace
 		j.cachedEvents = e.traceEvents
 		if j.obsOn {
 			j.timings.TraceStreamSec += time.Since(now).Seconds()
@@ -326,7 +347,6 @@ func (j *Job) fulfillFromCache(e *cacheEntry) {
 		j.timings.NetworkSource = "cache"
 		j.hasTimings = true
 	}
-	j.closeTraceLocked()
 	j.mu.Unlock()
 	j.cancel()
 }

@@ -357,6 +357,17 @@ func (m *Manager) Cancel(id string) error {
 // Checkpoint serializes a running job at its next tick boundary without
 // stopping it. Queued or terminal jobs return ErrNotRunning.
 func (m *Manager) Checkpoint(ctx context.Context, id string) (*Checkpoint, error) {
+	data, err := m.CheckpointBytes(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeCheckpoint(data)
+}
+
+// CheckpointBytes is Checkpoint in its wire form: the EncodeCheckpoint
+// bytes the worker produced, handed over without a decode/re-encode
+// round trip.
+func (m *Manager) CheckpointBytes(ctx context.Context, id string) ([]byte, error) {
 	j, err := m.Get(id)
 	if err != nil {
 		return nil, err
@@ -376,14 +387,7 @@ func (m *Manager) Checkpoint(ctx context.Context, id string) (*Checkpoint, error
 	}
 	select {
 	case r := <-reply:
-		if r.err != nil {
-			return nil, r.err
-		}
-		var ck Checkpoint
-		if err := unmarshalCheckpointBytes(r.data, &ck); err != nil {
-			return nil, err
-		}
-		return &ck, nil
+		return r.data, r.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -647,7 +651,8 @@ func (m *Manager) releaseNetwork(n *core.Network) {
 
 // cacheInsert memoizes a completed Submit-path run (resumed jobs carry
 // no cache key: their trace covers only the post-resume span, so they
-// are never memoized).
+// are never memoized). The job is already terminal, so the entry takes
+// its sealed trace by reference.
 func (m *Manager) cacheInsert(j *Job, res *loadgen.Result, finalTick int64) {
 	if m.cache == nil || j.cacheKey == "" {
 		return
