@@ -44,6 +44,8 @@
 //	curl -s localhost:8080/api/v1/jobs/j1
 //	curl -s localhost:8080/api/v1/jobs/j1/trace
 //	curl -s localhost:8080/api/v1/jobs/j1/result
+//	curl -s -X POST localhost:8080/api/v1/jobs/j1/checkpoint > j1.ckpt
+//	curl -s localhost:8080/api/v1/resume --data-binary @j1.ckpt   # binary: not -d
 package main
 
 import (
@@ -203,7 +205,10 @@ func run(addr string, opts service.Options, ckptDir string, drainTimeout time.Du
 // resumeFromDir admits every *.ckpt in dir and removes the files it
 // consumed (a crash between resume and removal re-resumes the same
 // checkpoint, which is safe: job IDs collide into fresh ones and the
-// run is deterministic either way).
+// run is deterministic either way). A checkpoint in a format version
+// this build does not read — every JSON file an older rmbd drained — is
+// renamed to <id>.ckpt.unsupported and skipped; any other damage aborts
+// the start.
 func resumeFromDir(m *service.Manager, dir string) (int, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	if err != nil {
@@ -216,6 +221,13 @@ func resumeFromDir(m *service.Manager, dir string) (int, error) {
 			return resumed, err
 		}
 		ck, err := service.DecodeCheckpoint(data)
+		if errors.Is(err, service.ErrUnsupportedVersion) {
+			fmt.Fprintf(os.Stderr, "rmbd: %s: %v; setting it aside as %s.unsupported\n", path, err, filepath.Base(path))
+			if err := os.Rename(path, path+".unsupported"); err != nil {
+				return resumed, err
+			}
+			continue
+		}
 		if err != nil {
 			return resumed, fmt.Errorf("%s: %w", path, err)
 		}
@@ -235,8 +247,10 @@ func resumeFromDir(m *service.Manager, dir string) (int, error) {
 	return resumed, nil
 }
 
-// writeCheckpointFile persists one drained job as <id>.ckpt, writing
-// through a temp file so a crash never leaves a torn checkpoint behind.
+// writeCheckpointFile persists one drained job as <id>.ckpt. It writes a
+// temp file, fsyncs it, renames it into place and fsyncs the directory,
+// so after a crash the checkpoint is either absent or complete — never
+// torn or empty.
 func writeCheckpointFile(dir string, ck *service.Checkpoint) error {
 	data, err := service.EncodeCheckpoint(ck)
 	if err != nil {
@@ -244,8 +258,35 @@ func writeCheckpointFile(dir string, ck *service.Checkpoint) error {
 	}
 	dst := filepath.Join(dir, ck.ID+".ckpt")
 	tmp := dst + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	err = writeSynced(tmp, data)
+	if err == nil {
+		err = os.Rename(tmp, dst)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort: the write or rename error is the one to report
 		return err
 	}
-	return os.Rename(tmp, dst)
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// writeSynced writes data to a new file at path and fsyncs it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

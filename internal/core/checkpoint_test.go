@@ -2,9 +2,14 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -146,7 +151,7 @@ func TestCheckpointDifferential(t *testing.T) {
 				t.Fatalf("re-checkpoint after restore: %v", err)
 			}
 			if !bytes.Equal(mid, again) {
-				t.Fatalf("checkpoint round-trip not byte-identical:\n first:  %d bytes\n second: %d bytes\n%s", len(mid), len(again), firstJSONDiff(mid, again))
+				t.Fatalf("checkpoint round-trip not byte-identical:\n first:  %d bytes\n second: %d bytes\n%s", len(mid), len(again), firstDiff(mid, again))
 			}
 			recB2 := &captureRecorder{}
 			nB2.SetRecorder(recB2)
@@ -167,30 +172,23 @@ func TestCheckpointDifferential(t *testing.T) {
 				t.Fatalf("event stream diverged (lengths %d vs %d)", len(gotEvents), len(recA.events))
 			}
 			if !bytes.Equal(finalA, finalB) {
-				t.Fatalf("final state diverged after resume:\n%s", firstJSONDiff(finalA, finalB))
+				t.Fatalf("final state diverged after resume:\n%s", firstDiff(finalA, finalB))
 			}
 		})
 	}
 }
 
-// firstJSONDiff renders a short context window around the first byte
-// where two checkpoints differ, for readable failures.
-func firstJSONDiff(a, b []byte) string {
+// firstDiff renders a short hex window around the first byte where two
+// checkpoints differ, for readable failures.
+func firstDiff(a, b []byte) string {
 	i := 0
 	for i < len(a) && i < len(b) && a[i] == b[i] {
 		i++
 	}
-	window := func(s []byte) string {
-		lo, hi := i-60, i+60
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(s) {
-			hi = len(s)
-		}
-		return string(s[lo:hi])
+	window := func(s []byte) []byte {
+		return s[max(i-16, 0):min(i+16, len(s))]
 	}
-	return fmt.Sprintf("first difference at byte %d:\n a: …%s…\n b: …%s…", i, window(a), window(b))
+	return fmt.Sprintf("first difference at byte %d:\n a: …% x…\n b: …% x…", i, window(a), window(b))
 }
 
 // TestCheckpointObserverIndependence proves serializing is free of
@@ -230,66 +228,54 @@ func TestCheckpointObserverIndependence(t *testing.T) {
 }
 
 // TestCheckpointCorruption exercises the reader's rejection paths: every
-// kind of damage must yield an error, never a network built from garbage.
+// kind of damage must yield an error, never a network built from garbage
+// (and never a panic).
 func TestCheckpointCorruption(t *testing.T) {
-	cfg := checkpointZooConfig(1)
-	n, err := NewNetwork(cfg)
-	if err != nil {
-		t.Fatalf("NewNetwork: %v", err)
-	}
-	wrng := sim.NewRNG(7)
-	driveBernoulliTicks(t, n, wrng, 0, 300)
-	data, err := n.MarshalCheckpoint()
-	if err != nil {
-		t.Fatalf("MarshalCheckpoint: %v", err)
-	}
-	n.Close()
+	data := checkpointAt(t, checkpointZooConfig(1), 7, 300)
 
-	// reframe decodes the envelope, lets f tamper with the decoded state,
-	// and re-frames it with a fresh (valid) checksum — for reaching the
-	// semantic validators behind the checksum gate.
-	reframe := func(t *testing.T, f func(st map[string]any)) []byte {
-		t.Helper()
-		var env checkpointEnvelope
-		if err := json.Unmarshal(data, &env); err != nil {
-			t.Fatalf("decoding envelope: %v", err)
-		}
-		var st map[string]any
-		if err := json.Unmarshal(env.State, &st); err != nil {
-			t.Fatalf("decoding state: %v", err)
-		}
-		f(st)
-		body, err := json.Marshal(st)
-		if err != nil {
-			t.Fatalf("re-encoding state: %v", err)
-		}
-		env.State = body
-		env.Sum = fnvSum(body)
-		out, err := json.Marshal(env)
-		if err != nil {
-			t.Fatalf("re-encoding envelope: %v", err)
-		}
-		return out
-	}
+	// The body opens with the length-prefixed config section; the clock is
+	// the varint right after it.
+	cfgLen, k := binary.Varint(data[ckptHeaderLen:])
+	clockAt := ckptHeaderLen + k + int(cfgLen)
+	_, clockLen := binary.Varint(data[clockAt:])
+
+	oversized := append([]byte(nil), data[:ckptHeaderLen]...)
+	oversized = binary.AppendVarint(oversized, 1<<40)
+	oversized = resum(append(oversized, data[ckptHeaderLen+k:]...))
+
+	// A non-minimal encoding of the same clock value: one more byte that
+	// adds nothing.
+	padded := append([]byte(nil), data[:clockAt+clockLen]...)
+	padded[len(padded)-1] |= 0x80
+	padded = resum(append(append(padded, 0), data[clockAt+clockLen:]...))
 
 	cases := []struct {
-		name string
-		data []byte
-		want string
+		name        string
+		data        []byte
+		want        string
+		unsupported bool
 	}{
-		{"truncated", data[:len(data)/2], "decoding envelope"},
-		{"empty", nil, "decoding envelope"},
-		{"not json", []byte("once upon a time"), "decoding envelope"},
-		{"bit flip", flipByte(data, len(data)/2), "checksum"},
-		{"bad magic", reframeEnvelope(t, data, func(env *checkpointEnvelope) { env.Magic = "rmb-snapshot" }), "bad magic"},
-		{"future version", reframeEnvelope(t, data, func(env *checkpointEnvelope) { env.Version = CheckpointVersion + 1 }), "version"},
-		{"stale checksum", reframeEnvelope(t, data, func(env *checkpointEnvelope) { env.Sum++ }), "checksum"},
-		{"record count mismatch", reframe(t, func(st map[string]any) { st["nextMsg"] = 1 }), "records"},
-		{"wrong ring size", reframe(t, func(st map[string]any) {
-			cfg := st["cfg"].(map[string]any)
-			cfg["Nodes"] = 8
-		}), "INC entries"},
-		{"clock rewound", reframe(t, func(st map[string]any) { st["now"] = -5 }), "negative clock"},
+		{"truncated", data[:len(data)/2], "checksum", false},
+		{"empty", nil, "truncated header", false},
+		{"not json", []byte("once upon a time"), "bad magic", false},
+		{"bit flip", withByte(data, len(data)/2, data[len(data)/2]^0x10), "checksum", false},
+		{"bad magic", withByte(data, 0, 'R'), "bad magic", false},
+		{"future version", withByte(data, len(checkpointMagic), CheckpointVersion+1), "version 3", true},
+		{"v1 json", []byte(`{"magic":"rmb-checkpoint","version":1,"sum":1,"state":{}}`), "version 1", true},
+		{"stale checksum", withByte(data, ckptHeaderLen-1, data[ckptHeaderLen-1]+1), "checksum", false},
+		{"oversized length prefix", oversized, "exceeds", false},
+		{"non-minimal varint", padded, "non-minimal", false},
+		{"trailing bytes", resum(append(append([]byte(nil), data...), 0)), "trailing", false},
+		{"record count mismatch", reframe(t, data, func(st *ckptState) { st.NextMsg = 1 }), "records", false},
+		{"wrong ring size", reframe(t, data, func(st *ckptState) { st.Cfg.Nodes = 8 }), "INC entries", false},
+		{"clock rewound", reframe(t, data, func(st *ckptState) { st.Now = -5 }), "negative clock", false},
+		{"config not effective", reframe(t, data, func(st *ckptState) { st.Cfg.RetryBase = 0 }), "effective form", false},
+		{"faults out of order", reframe(t, data, func(st *ckptState) {
+			if len(st.Faults) < 2 {
+				t.Fatal("zoo checkpoint has fewer than two pending faults")
+			}
+			st.Faults[0].At = st.Faults[1].At + 1
+		}), "firing order", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -300,38 +286,78 @@ func TestCheckpointCorruption(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
+			if errors.Is(err, ErrUnsupportedVersion) != tc.unsupported {
+				t.Fatalf("errors.Is(%q, ErrUnsupportedVersion) = %v, want %v", err, !tc.unsupported, tc.unsupported)
+			}
 		})
 	}
+
+	// Cutting the body anywhere — inside a section or on a boundary —
+	// must surface as truncation even with a checksum that matches the
+	// shortened body: every length prefix is checked against the bytes
+	// that remain.
+	t.Run("truncated at every offset", func(t *testing.T) {
+		for cut := ckptHeaderLen; cut < len(data); cut++ {
+			_, err := UnmarshalCheckpoint(resum(data[:cut]))
+			if err == nil || !strings.Contains(err.Error(), "truncated") {
+				t.Fatalf("body cut at byte %d of %d: got %v, want a truncation error", cut, len(data), err)
+			}
+		}
+	})
 }
 
-// reframeEnvelope re-encodes the envelope after tampering with its frame
-// fields (magic, version, checksum); the state bytes are left alone.
-func reframeEnvelope(t *testing.T, data []byte, f func(env *checkpointEnvelope)) []byte {
+// checkpointAt runs a zoo workload for ticks ticks and checkpoints it.
+func checkpointAt(t *testing.T, cfg Config, workSeed uint64, ticks sim.Tick) []byte {
 	t.Helper()
-	var env checkpointEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		t.Fatalf("decoding envelope: %v", err)
-	}
-	f(&env)
-	out, err := json.Marshal(env)
+	n, err := NewNetwork(cfg)
 	if err != nil {
-		t.Fatalf("re-encoding envelope: %v", err)
+		t.Fatalf("NewNetwork: %v", err)
+	}
+	defer n.Close()
+	driveBernoulliTicks(t, n, sim.NewRNG(workSeed), 0, ticks)
+	data, err := n.MarshalCheckpoint()
+	if err != nil {
+		t.Fatalf("MarshalCheckpoint: %v", err)
+	}
+	return data
+}
+
+// resum recomputes the header checksum of a (possibly tampered)
+// checkpoint, so the damage reaches the body parser.
+func resum(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	if len(out) >= ckptHeaderLen && string(out[:len(checkpointMagic)]) == checkpointMagic {
+		binary.LittleEndian.PutUint64(out[ckptHeaderLen-8:], fnvSum(out[ckptHeaderLen:]))
 	}
 	return out
 }
 
-func flipByte(data []byte, i int) []byte {
-	out := append([]byte(nil), data...)
-	// Flip inside a JSON string character to keep the envelope parseable
-	// but the checksum wrong; stepping forward from the midpoint finds a
-	// letter quickly.
-	for ; i < len(out); i++ {
-		if out[i] >= 'a' && out[i] < 'z' {
-			out[i]++
-			return out
-		}
+// reframe decodes the checkpoint's state, lets f tamper with it, and
+// re-encodes it with a valid checksum — for reaching the semantic
+// validators behind the frame and codec checks.
+func reframe(t *testing.T, data []byte, f func(st *ckptState)) []byte {
+	t.Helper()
+	body, err := checkpointBody(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	panic("no safe byte to flip")
+	st, err := decodeCheckpointState(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f(st)
+	c := ckptCodec{buf: append([]byte(nil), data[:ckptHeaderLen]...)}
+	c.state(st)
+	if c.err != nil {
+		t.Fatalf("re-encoding state: %v", c.err)
+	}
+	return resum(c.buf)
+}
+
+func withByte(data []byte, i int, b byte) []byte {
+	out := append([]byte(nil), data...)
+	out[i] = b
+	return out
 }
 
 // TestCheckpointMidPhaseRefused pins the tick-boundary precondition: a
@@ -357,7 +383,8 @@ func TestCheckpointMidPhaseRefused(t *testing.T) {
 }
 
 // TestCheckpointWriterReader round-trips through the io.Writer/io.Reader
-// wrappers (the forms rmbd uses against files and HTTP bodies).
+// wrappers, which carry exactly MarshalCheckpoint's bytes: no terminator,
+// since the reader refuses trailing bytes.
 func TestCheckpointWriterReader(t *testing.T) {
 	cfg := checkpointZooConfig(2)
 	n, err := NewNetwork(cfg)
@@ -370,8 +397,12 @@ func TestCheckpointWriterReader(t *testing.T) {
 	if err := n.WriteCheckpoint(&buf); err != nil {
 		t.Fatalf("WriteCheckpoint: %v", err)
 	}
-	if !bytes.HasSuffix(buf.Bytes(), []byte("\n")) {
-		t.Fatal("WriteCheckpoint output is not newline-terminated")
+	want, err := n.MarshalCheckpoint()
+	if err != nil {
+		t.Fatalf("MarshalCheckpoint: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("WriteCheckpoint wrote %d bytes, not MarshalCheckpoint's %d", buf.Len(), len(want))
 	}
 	restored, err := ReadCheckpoint(&buf)
 	if err != nil {
@@ -385,4 +416,70 @@ func TestCheckpointWriterReader(t *testing.T) {
 	}
 	n.Close()
 	restored.Close()
+}
+
+// FuzzUnmarshalCheckpoint feeds arbitrary bytes to the reader, both as
+// given and with the checksum recomputed so that mutations reach the
+// body parser. The reader must never panic, and any input it accepts must
+// re-marshal to exactly the same bytes. The committed seed corpus holds
+// real checkpoints (see TestCheckpointFuzzCorpus).
+func FuzzUnmarshalCheckpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, resum(data)} {
+			n, err := UnmarshalCheckpoint(in)
+			if err != nil {
+				continue
+			}
+			out, err := n.MarshalCheckpoint()
+			n.Close()
+			if err != nil {
+				t.Fatalf("accepted checkpoint does not re-marshal: %v", err)
+			}
+			if !bytes.Equal(out, in) {
+				t.Fatalf("accepted %d bytes but re-marshaled %d:\n%s", len(in), len(out), firstDiff(in, out))
+			}
+		}
+	})
+}
+
+var updateCorpus = flag.Bool("update", false, "rewrite the committed fuzz seed corpus")
+
+// TestCheckpointFuzzCorpus keeps FuzzUnmarshalCheckpoint's committed seed
+// corpus made of real checkpoints in the current format: every file must
+// restore. Run with -update to regenerate the files after a format change.
+func TestCheckpointFuzzCorpus(t *testing.T) {
+	seeds := map[string]func() []byte{
+		// Lockstep, event scheduler, chaos faults pending and applied.
+		"lockstep-chaos": func() []byte { return checkpointAt(t, checkpointZooConfig(4), 5, 120) },
+		// Async mode (dirty set, jittered FSMs), naive scheduler, chaos.
+		"async-chaos": func() []byte { return checkpointAt(t, checkpointZooConfig(1), 7, 120) },
+		// A fault-free ring with unicast and multicast traffic.
+		"fault-free": func() []byte { return checkpointAt(t, Config{Nodes: 8, Buses: 2, Seed: 5}, 3, 100) },
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzUnmarshalCheckpoint")
+	for name, gen := range seeds {
+		path := filepath.Join(dir, name)
+		if *updateCorpus {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", gen())), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create the corpus)", err)
+		}
+		lit := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
+		data, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: not a []byte corpus entry: %v", path, err)
+		}
+		n, err := UnmarshalCheckpoint([]byte(data))
+		if err != nil {
+			t.Fatalf("%s no longer restores (run with -update after a format change): %v", path, err)
+		}
+		n.Close()
+	}
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rmb/internal/sim"
@@ -75,7 +77,7 @@ func TestResetMatchesFresh(t *testing.T) {
 				t.Fatalf("reset checkpoint: %v", err)
 			}
 			if !bytes.Equal(wantCkpt, gotCkpt) {
-				t.Fatalf("reset network's construction checkpoint differs from fresh:\n%s", firstJSONDiff(wantCkpt, gotCkpt))
+				t.Fatalf("reset network's construction checkpoint differs from fresh:\n%s", firstDiff(wantCkpt, gotCkpt))
 			}
 
 			// Replay the oracle's workload on the reset network, crossing a
@@ -117,9 +119,156 @@ func TestResetMatchesFresh(t *testing.T) {
 				t.Fatalf("stats diverged:\n got:    %+v\n oracle: %+v", statsR, statsF)
 			}
 			if !bytes.Equal(finalF, finalR) {
-				t.Fatalf("final state diverged on the reset network:\n%s", firstJSONDiff(finalF, finalR))
+				t.Fatalf("final state diverged on the reset network:\n%s", firstDiff(finalF, finalR))
 			}
 		})
+	}
+}
+
+// TestRestoreCheckpointInPlace: RestoreCheckpoint into a network that
+// ran a different dirty workload of the same shape gives exactly the
+// network UnmarshalCheckpoint builds — the same bytes on re-marshal, then
+// the same events, stats and final state over the rest of the run — and
+// keeps the record storage the dirty run grew.
+func TestRestoreCheckpointInPlace(t *testing.T) {
+	const half = sim.Tick(400)
+	for seed := uint64(0); seed < 32; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			src, err := NewNetwork(checkpointZooConfig(seed))
+			if err != nil {
+				t.Fatalf("NewNetwork: %v", err)
+			}
+			driveBernoulliTicks(t, src, sim.NewRNG(seed*0x9e3779b9+7), 0, half)
+			mid, err := src.MarshalCheckpoint()
+			if err != nil {
+				t.Fatalf("mid-run checkpoint: %v", err)
+			}
+			src.Close()
+
+			// Twice as many ticks as the checkpoint holds, so the dirty
+			// network's record storage has room for all of its records.
+			n, err := NewNetwork(checkpointZooConfig(seed + 13))
+			if err != nil {
+				t.Fatalf("NewNetwork(dirty): %v", err)
+			}
+			defer n.Close()
+			driveBernoulliTicks(t, n, sim.NewRNG(seed+99), 0, 2*half)
+			backing := &n.records[0]
+			if err := n.RestoreCheckpoint(mid); err != nil {
+				t.Fatalf("RestoreCheckpoint: %v", err)
+			}
+			if &n.records[0] != backing {
+				t.Fatal("RestoreCheckpoint replaced the network's record storage")
+			}
+			again, err := n.MarshalCheckpoint()
+			if err != nil {
+				t.Fatalf("re-marshal: %v", err)
+			}
+			if !bytes.Equal(again, mid) {
+				t.Fatalf("network restored in place re-marshals differently:\n%s", firstDiff(mid, again))
+			}
+
+			fresh, err := UnmarshalCheckpoint(mid)
+			if err != nil {
+				t.Fatalf("UnmarshalCheckpoint: %v", err)
+			}
+			defer fresh.Close()
+			recN, recF := &captureRecorder{}, &captureRecorder{}
+			n.SetRecorder(recN)
+			fresh.SetRecorder(recF)
+			driveBernoulliTicks(t, n, sim.NewRNG(seed+5), half, 2*half)
+			driveBernoulliTicks(t, fresh, sim.NewRNG(seed+5), half, 2*half)
+			if !reflect.DeepEqual(recN.events, recF.events) {
+				for i := range recN.events {
+					if i >= len(recF.events) || recN.events[i] != recF.events[i] {
+						t.Fatalf("event %d diverged on the network restored in place:\n got:    %s\n oracle: %s", i, recN.events[i], eventOr(recF.events, i))
+					}
+				}
+				t.Fatalf("event stream diverged (lengths %d vs %d)", len(recN.events), len(recF.events))
+			}
+			if !reflect.DeepEqual(n.Stats(), fresh.Stats()) {
+				t.Fatalf("stats diverged:\n got:    %+v\n oracle: %+v", n.Stats(), fresh.Stats())
+			}
+			finalN, err := n.MarshalCheckpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			finalF, err := fresh.MarshalCheckpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(finalN, finalF) {
+				t.Fatalf("final state diverged on the network restored in place:\n%s", firstDiff(finalF, finalN))
+			}
+		})
+	}
+}
+
+// TestRestoreCheckpointRecycles: restoring into one network again and
+// again draws the live buses from the ones Reset parked, so a pooled
+// network that serves many resumes does not accumulate bus structs.
+func TestRestoreCheckpointRecycles(t *testing.T) {
+	src, err := NewNetwork(checkpointZooConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveBernoulliTicks(t, src, sim.NewRNG(7), 0, 400)
+	mid, err := src.MarshalCheckpoint()
+	src.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNetwork(checkpointZooConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	owned := 0
+	for i := 0; i < 4; i++ {
+		if err := n.RestoreCheckpoint(mid); err != nil {
+			t.Fatalf("restore %d: %v", i, err)
+		}
+		if len(n.active) == 0 {
+			t.Fatal("the checkpoint holds no live buses")
+		}
+		got := len(n.active) + len(n.vbFree)
+		if i > 0 && got != owned {
+			t.Fatalf("restore %d: the network holds %d buses, %d after the previous restore", i, got, owned)
+		}
+		owned = got
+	}
+}
+
+// TestRestoreCheckpointRefuses: RestoreCheckpoint refuses a checkpoint
+// of another shape, and bad bytes with the errors UnmarshalCheckpoint
+// gives.
+func TestRestoreCheckpointRefuses(t *testing.T) {
+	other, err := NewNetwork(checkpointZooConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := other.MarshalCheckpoint()
+	other.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNetwork(Config{Nodes: 8, Buses: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if err := n.RestoreCheckpoint(data); err == nil || !strings.Contains(err.Error(), "shape mismatch") {
+		t.Fatalf("checkpoint of a 12x3 ring into an 8x2 network: got %v, want a shape mismatch", err)
+	}
+	bad := append([]byte(nil), data...)
+	bad[len(bad)-1] ^= 1
+	if err := n.RestoreCheckpoint(bad); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("bit flip: got %v, want a checksum error", err)
+	}
+	if err := n.RestoreCheckpoint([]byte(`{"version":1}`)); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("v1 JSON: got %v, want ErrUnsupportedVersion", err)
 	}
 }
 
@@ -160,7 +309,7 @@ func TestResetRepeated(t *testing.T) {
 			t.Fatalf("round %d: event streams diverged (%d vs %d events)", round, len(recR.events), len(recF.events))
 		}
 		if !bytes.Equal(ckR, ckF) {
-			t.Fatalf("round %d: checkpoints diverged:\n%s", round, firstJSONDiff(ckR, ckF))
+			t.Fatalf("round %d: checkpoints diverged:\n%s", round, firstDiff(ckR, ckF))
 		}
 	}
 }
@@ -202,7 +351,7 @@ func TestResetShapeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatalf("network diverged from fresh after refused Reset attempts:\n%s", firstJSONDiff(a, b))
+		t.Fatalf("network diverged from fresh after refused Reset attempts:\n%s", firstDiff(a, b))
 	}
 }
 

@@ -370,6 +370,106 @@ func TestPoolReuseAndDisable(t *testing.T) {
 	}
 }
 
+// TestPoolRestore covers a resume drawing its network from the pool: a
+// parked network of the spec's shape, abandoned mid-run by another job,
+// takes the checkpoint in place and then runs exactly like the network
+// UnmarshalCheckpoint builds. A parked network that refuses the bytes is
+// dropped and the pool falls back to UnmarshalCheckpoint, which reports
+// corrupt bytes and restores a checkpoint of another shape.
+func TestPoolRestore(t *testing.T) {
+	spec := chaosSpec(5)
+	ck, err := DecodeCheckpoint(jobCheckpointAt(t, "j1", spec, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lcfg, err := spec.Workload.loadgenConfig(core.FaultPlan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	finish := func(n *core.Network) loadgen.Result {
+		t.Helper()
+		d, err := loadgen.ResumeDriver(n, lcfg, ck.Driver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			more, err := d.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !more {
+				return d.Result()
+			}
+		}
+	}
+	fresh, err := core.UnmarshalCheckpoint(ck.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := finish(fresh)
+
+	p := newNetPool(1)
+	other := chaosSpec(8)
+	dirty, err := core.NewNetwork(other.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ocfg, err := other.Workload.loadgenConfig(other.Faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	od, err := loadgen.NewDriver(dirty, ocfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dirty.Now() < 200 {
+		if _, err := od.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.release(dirty)
+
+	n, err := p.restore(spec.Config, ck.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != dirty {
+		t.Fatal("restore built a new network while one of its shape was parked")
+	}
+	if got := finish(n); !reflect.DeepEqual(got, want) {
+		t.Fatalf("run restored into a parked network diverged:\n got:  %+v\n want: %+v", got.Stats, want.Stats)
+	}
+	if ps := p.stats(); ps.Reuses != 1 || ps.Size != 0 {
+		t.Fatalf("pool stats after restore: %+v", ps)
+	}
+
+	p.release(n)
+	bad := append([]byte(nil), ck.Core...)
+	bad[len(bad)-1] ^= 1
+	if _, err := p.restore(spec.Config, bad); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("corrupt checkpoint: got %v, want a checksum error", err)
+	}
+	if ps := p.stats(); ps.Size != 0 || ps.Reuses != 1 {
+		t.Fatalf("network that refused a corrupt checkpoint was kept or counted: %+v", ps)
+	}
+
+	small, err := core.NewNetwork(core.Config{Nodes: 8, Buses: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.release(small)
+	n, err = p.restore(core.Config{Nodes: 8, Buses: 2}, ck.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n == small || n.Config().Nodes != spec.Config.Nodes {
+		t.Fatalf("checkpoint of another shape restored into the parked %d-node network", small.Config().Nodes)
+	}
+	if got := finish(n); !reflect.DeepEqual(got, want) {
+		t.Fatal("fallback restore diverged from UnmarshalCheckpoint")
+	}
+}
+
 // TestPoolConcurrentRecycling floods a small pooled manager with ≥10
 // jobs across two shapes — half canceled mid-flight, half run to
 // completion — then does it again, so workers constantly recycle

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -20,16 +21,19 @@ import (
 //	GET  /api/v1/jobs/{id}/trace JSONL telemetry captured so far
 //	GET  /api/v1/jobs/{id}/result  completed result → 200, pending → 409
 //	POST /api/v1/jobs/{id}/cancel  request cancellation → 202
-//	POST /api/v1/jobs/{id}/checkpoint  freeze a running job → checkpoint JSON
-//	POST /api/v1/resume          admit a checkpoint → 202 {"id":...}
+//	POST /api/v1/jobs/{id}/checkpoint  freeze a running job → binary
+//	                             checkpoint (EncodeCheckpoint bytes)
+//	POST /api/v1/resume          admit those bytes, as they stand
+//	                             → 202 {"id":...}
 //	GET  /healthz                liveness + job/pool/cache counters
 //	GET  /metrics                Prometheus text exposition (pool, cache,
 //	                             jobs, latency histograms, runtime gauges)
 //	GET  /debug/vars             expvar JSON (rmbd_pool / rmbd_cache)
 //	GET  /debug/pprof/           standard pprof handlers
 //
-// Every response is JSON except the trace stream (application/x-ndjson)
-// and the Prometheus exposition (text/plain). Each API route runs under
+// Every response is JSON except the trace stream (application/x-ndjson),
+// the checkpoint (application/octet-stream) and the Prometheus
+// exposition (text/plain). Each API route runs under
 // the instrument middleware, which feeds rmbd_http_request_seconds and
 // emits one structured log line per request.
 type API struct {
@@ -93,16 +97,14 @@ func (a *API) writeJSON(w http.ResponseWriter, code int, v any) {
 		http.Error(w, `{"error":"internal: response encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
-	a.writeEncoded(w, code, data)
-}
-
-// writeEncoded writes an already-encoded JSON value as the response
-// body. It appends to data, so data must be the caller's own bytes.
-func (a *API) writeEncoded(w http.ResponseWriter, code int, data []byte) {
 	// Keep the trailing newline json.Encoder used to emit, so response
 	// bytes are unchanged for well-formed values.
-	data = append(data, '\n')
-	w.Header().Set("Content-Type", "application/json")
+	a.writeBody(w, code, "application/json", append(data, '\n'))
+}
+
+// writeBody writes a complete, already-encoded response body.
+func (a *API) writeBody(w http.ResponseWriter, code int, contentType string, data []byte) {
+	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(code)
 	if _, err := w.Write(data); err != nil {
 		a.errorf("response write failed", slog.Int("status", code), slog.Any("err", err))
@@ -143,13 +145,20 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 	a.writeJSON(w, http.StatusAccepted, j.Status())
 }
 
+// resume admits a checkpoint body exactly as the checkpoint handler wrote
+// it; the request's Content-Type is not consulted.
 func (a *API) resume(w http.ResponseWriter, r *http.Request) {
-	var ck Checkpoint
-	if err := json.NewDecoder(r.Body).Decode(&ck); err != nil {
-		a.writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decoding checkpoint: %v", err)})
+	data, err := io.ReadAll(r.Body)
+	if err != nil {
+		a.writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("reading checkpoint: %v", err)})
 		return
 	}
-	j, err := a.m.Resume(ck)
+	ck, err := DecodeCheckpoint(data)
+	if err != nil {
+		a.writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		return
+	}
+	j, err := a.m.Resume(*ck)
 	if err != nil {
 		a.writeAdmitError(w, err)
 		return
@@ -232,8 +241,9 @@ func (a *API) checkpoint(w http.ResponseWriter, r *http.Request) {
 		a.writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
-	// The worker's EncodeCheckpoint bytes are the body as they stand.
-	a.writeEncoded(w, http.StatusOK, data)
+	// The worker's EncodeCheckpoint bytes are the body as they stand,
+	// with nothing appended: /resume accepts exactly these bytes.
+	a.writeBody(w, http.StatusOK, "application/octet-stream", data)
 }
 
 func (a *API) healthz(w http.ResponseWriter, r *http.Request) {

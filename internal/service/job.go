@@ -3,8 +3,12 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,7 +83,9 @@ type Job struct {
 	created time.Time
 
 	// resume, when non-nil, restores a checkpointed run instead of
-	// starting fresh.
+	// starting fresh. Only the worker touches it after admission, and it
+	// drops it once the network is restored, so the job table does not
+	// keep every resumed checkpoint alive.
 	resume *Checkpoint
 
 	ctx    context.Context
@@ -367,53 +373,110 @@ func (j *Job) finishSuspended(ck *Checkpoint) {
 }
 
 // Checkpoint is the portable frozen form of a job: its spec, the
-// workload generator's position, and the core network checkpoint. The
-// envelope is plain JSON (the core payload carries its own version and
-// checksum framing); Manager.Resume turns it back into a queued job.
+// workload generator's position, and the core network checkpoint.
+// Manager.Resume turns it back into a queued job.
 type Checkpoint struct {
-	Version int    `json:"version"`
-	ID      string `json:"id"`
+	ID string `json:"id"`
 	// Spec is the original job description; the fault plan inside it is
 	// NOT re-injected on resume (pending fault timers ride in Core).
 	Spec JobSpec `json:"spec"`
 	// Driver is the workload generator's resume state.
 	Driver loadgen.State `json:"driver"`
-	// Core is the core.Network checkpoint (its own self-validating
-	// envelope).
-	Core json.RawMessage `json:"core"`
+	// Core is the core.Network checkpoint, carrying its own version and
+	// checksum. It is empty for a job suspended before it started.
+	Core []byte `json:"-"`
 }
 
 // CheckpointVersion is the current job-checkpoint envelope version.
-const CheckpointVersion = 1
+const CheckpointVersion = 2
+
+// The job envelope frames a small JSON header (id, spec, driver) and the
+// core checkpoint bytes, which it carries opaquely:
+//
+//	magic    8 bytes, "rmb-job\x00"
+//	version  1 byte, CheckpointVersion
+//	length   4 bytes, little-endian length of the header
+//	sum      8 bytes, little-endian FNV-64a of the header
+//	header   json.Marshal of the Checkpoint (Core excluded)
+//	core     the rest: the core checkpoint, verbatim
+const (
+	jobMagic     = "rmb-job\x00"
+	jobHeaderPos = len(jobMagic) + 1 + 4 + 8
+)
 
 // EncodeCheckpoint / DecodeCheckpoint are the one encoding used
 // everywhere a job checkpoint crosses a process boundary (HTTP bodies,
 // *.ckpt files), so the wire form and the file form never drift.
 func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
-	return marshalCheckpointBytes(ck)
-}
-
-// DecodeCheckpoint parses bytes produced by EncodeCheckpoint (deep
-// validation happens at Resume, not here).
-func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	ck := &Checkpoint{}
-	if err := unmarshalCheckpointBytes(data, ck); err != nil {
+	buf, err := appendEnvelope(nil, ck, len(ck.Core))
+	if err != nil {
 		return nil, err
 	}
-	return ck, nil
+	return append(buf, ck.Core...), nil
 }
 
-func marshalCheckpointBytes(ck *Checkpoint) ([]byte, error) {
-	data, err := json.Marshal(ck)
+// appendEnvelope appends ck's envelope up to its core bytes, reserving
+// room for coreHint more. The worker appends the core checkpoint in
+// place; EncodeCheckpoint copies in ck.Core.
+func appendEnvelope(dst []byte, ck *Checkpoint, coreHint int) ([]byte, error) {
+	hdr, err := json.Marshal(ck)
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding checkpoint: %w", err)
 	}
-	return data, nil
+	dst = slices.Grow(dst, jobHeaderPos+len(hdr)+coreHint)
+	dst = append(dst, jobMagic...)
+	dst = append(dst, CheckpointVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(hdr)))
+	dst = binary.LittleEndian.AppendUint64(dst, fnvSum(hdr))
+	return append(dst, hdr...), nil
 }
 
-func unmarshalCheckpointBytes(data []byte, ck *Checkpoint) error {
-	if err := json.Unmarshal(data, ck); err != nil {
-		return fmt.Errorf("service: decoding checkpoint: %w", err)
+// DecodeCheckpoint parses bytes produced by EncodeCheckpoint. The header
+// is checked and decoded; the core bytes are sliced out of data, not
+// copied or scanned (core.UnmarshalCheckpoint validates them when the
+// job starts). Checkpoints of another format version, including every
+// JSON (version 1) checkpoint, return ErrUnsupportedVersion.
+func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
+	if len(data) > 0 && data[0] == '{' {
+		return nil, fmt.Errorf("service: checkpoint: %w: a JSON (version 1) checkpoint; this build reads version %d only",
+			ErrUnsupportedVersion, CheckpointVersion)
 	}
-	return nil
+	if len(data) < len(jobMagic) {
+		return nil, fmt.Errorf("service: checkpoint: truncated header (%d bytes)", len(data))
+	}
+	if magic := data[:len(jobMagic)]; string(magic) != jobMagic {
+		return nil, fmt.Errorf("service: checkpoint: bad magic %q", magic)
+	}
+	if len(data) < jobHeaderPos {
+		return nil, fmt.Errorf("service: checkpoint: truncated header (%d bytes)", len(data))
+	}
+	if v := data[len(jobMagic)]; v != CheckpointVersion {
+		return nil, fmt.Errorf("service: checkpoint: %w: version %d (this build reads version %d only)",
+			ErrUnsupportedVersion, v, CheckpointVersion)
+	}
+	n := binary.LittleEndian.Uint32(data[len(jobMagic)+1:])
+	if uint64(n) > uint64(len(data)-jobHeaderPos) {
+		return nil, fmt.Errorf("service: checkpoint: truncated: header length %d exceeds the %d bytes that remain", n, len(data)-jobHeaderPos)
+	}
+	hdr := data[jobHeaderPos : jobHeaderPos+int(n)]
+	if got, want := fnvSum(hdr), binary.LittleEndian.Uint64(data[jobHeaderPos-8:]); got != want {
+		return nil, fmt.Errorf("service: checkpoint: header checksum mismatch: %#x, envelope says %#x", got, want)
+	}
+	ck := &Checkpoint{}
+	if err := json.Unmarshal(hdr, ck); err != nil {
+		return nil, fmt.Errorf("service: checkpoint: decoding header: %w", err)
+	}
+	// Only EncodeCheckpoint's own bytes are accepted, so a decoded
+	// checkpoint re-encodes identically.
+	if again, err := json.Marshal(ck); err != nil || !bytes.Equal(again, hdr) {
+		return nil, errors.New("service: checkpoint: header is not in canonical form")
+	}
+	ck.Core = data[jobHeaderPos+int(n):]
+	return ck, nil
+}
+
+func fnvSum(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }

@@ -26,6 +26,11 @@ var (
 	// ErrNotRunning is returned by Checkpoint for jobs with no live
 	// simulation to serialize.
 	ErrNotRunning = errors.New("service: job is not running")
+	// ErrUnsupportedVersion is returned by DecodeCheckpoint for a
+	// checkpoint written in another format version, including every
+	// JSON (version 1) checkpoint. It is core's sentinel, so errors.Is
+	// matches a version error from either layer.
+	ErrUnsupportedVersion = core.ErrUnsupportedVersion
 )
 
 // Manager multiplexes simulation jobs over a bounded worker pool with a
@@ -291,9 +296,6 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 // job ID is kept when free. An empty Core payload marks a job that was
 // suspended before it started; it runs from scratch.
 func (m *Manager) Resume(ck Checkpoint) (*Job, error) {
-	if ck.Version != CheckpointVersion {
-		return nil, fmt.Errorf("service: checkpoint version %d not supported (want %d)", ck.Version, CheckpointVersion)
-	}
 	if err := ck.Spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -488,7 +490,7 @@ func (m *Manager) runJob(j *Job) {
 			j.finishSuspended(&ck)
 			return
 		}
-		j.finishSuspended(&Checkpoint{Version: CheckpointVersion, ID: j.id, Spec: j.spec})
+		j.finishSuspended(&Checkpoint{ID: j.id, Spec: j.spec})
 		return
 	}
 	queueWait, ok := j.setRunning()
@@ -511,11 +513,13 @@ func (m *Manager) runJob(j *Job) {
 		// the plan is NOT re-injected, and the driver RNG resumes from
 		// its serialized position.
 		restoreStart := time.Now()
-		n, err := core.UnmarshalCheckpoint(j.resume.Core)
+		n, err := m.restoreNetwork(j.spec.Config, j.resume.Core)
 		if err != nil {
 			m.finishJob(j, StateFailed, nil, err.Error())
 			return
 		}
+		driver := j.resume.Driver
+		j.resume = nil
 		source = "restore"
 		j.stampTimings(func(t *Timings) {
 			t.NetworkSource = source
@@ -530,7 +534,7 @@ func (m *Manager) runJob(j *Job) {
 			m.finishJob(j, StateFailed, nil, err.Error())
 			return
 		}
-		d, err = loadgen.ResumeDriver(n, lcfg, j.resume.Driver)
+		d, err = loadgen.ResumeDriver(n, lcfg, driver)
 		if err != nil {
 			m.finishJob(j, StateFailed, nil, err.Error())
 			return
@@ -593,7 +597,11 @@ func (m *Manager) runJob(j *Job) {
 			}
 			return
 		case <-m.suspend:
-			ck, err := m.freezeJob(j, d)
+			data, err := freezeJob(j, d)
+			var ck *Checkpoint
+			if err == nil {
+				ck, err = DecodeCheckpoint(data)
+			}
 			if err != nil {
 				m.finishJob(j, StateFailed, nil, fmt.Sprintf("suspend: %v", err))
 				return
@@ -601,12 +609,7 @@ func (m *Manager) runJob(j *Job) {
 			j.finishSuspended(ck)
 			return
 		case reply := <-j.ckptReq:
-			ck, err := m.freezeJob(j, d)
-			if err != nil {
-				reply <- ckptReply{err: err}
-				continue
-			}
-			data, err := marshalCheckpointBytes(ck)
+			data, err := freezeJob(j, d)
 			reply <- ckptReply{data: data, err: err}
 			continue
 		default:
@@ -635,6 +638,16 @@ func (m *Manager) acquireNetwork(cfg core.Config) (n *core.Network, reused bool,
 		return n, false, err
 	}
 	return m.pool.acquire(cfg)
+}
+
+// restoreNetwork rebuilds a resumed job's network from its core
+// checkpoint, into a parked network of the spec's shape when pooling is
+// on.
+func (m *Manager) restoreNetwork(shape core.Config, data []byte) (*core.Network, error) {
+	if m.pool == nil {
+		return core.UnmarshalCheckpoint(data)
+	}
+	return m.pool.restore(shape, data)
 }
 
 // releaseNetwork returns a job's network when the job ends, parking it
@@ -667,18 +680,13 @@ func (m *Manager) cacheInsert(j *Job, res *loadgen.Result, finalTick int64) {
 	m.cache.put(e)
 }
 
-// freezeJob captures the job's full resumable state at the current tick
-// boundary.
-func (m *Manager) freezeJob(j *Job, d *loadgen.Driver) (*Checkpoint, error) {
-	coreCk, err := d.Network().MarshalCheckpoint()
+// freezeJob encodes the job's full resumable state at the current tick
+// boundary as EncodeCheckpoint bytes: the envelope header, then the core
+// checkpoint appended in place, so the bytes are written once.
+func freezeJob(j *Job, d *loadgen.Driver) ([]byte, error) {
+	buf, err := appendEnvelope(nil, &Checkpoint{ID: j.id, Spec: j.spec, Driver: d.State()}, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Checkpoint{
-		Version: CheckpointVersion,
-		ID:      j.id,
-		Spec:    j.spec,
-		Driver:  d.State(),
-		Core:    coreCk,
-	}, nil
+	return d.Network().AppendCheckpoint(buf)
 }

@@ -50,17 +50,10 @@ func newNetPool(perShape int) *netPool {
 func (p *netPool) acquire(cfg core.Config) (*core.Network, bool, error) {
 	key := poolKey{cfg.Nodes, cfg.Buses}
 	for {
-		p.mu.Lock()
-		l := p.nets[key]
-		if len(l) == 0 {
-			p.mu.Unlock()
+		n := p.take(key)
+		if n == nil {
 			break
 		}
-		n := l[len(l)-1]
-		l[len(l)-1] = nil
-		p.nets[key] = l[: len(l)-1 : cap(l)]
-		p.mu.Unlock()
-		p.size.Add(-1)
 		if err := n.Reset(cfg); err != nil {
 			p.resetFailures.Add(1)
 			n.Close()
@@ -72,6 +65,38 @@ func (p *netPool) acquire(cfg core.Config) (*core.Network, bool, error) {
 	p.coldBuilds.Add(1)
 	n, err := core.NewNetwork(cfg)
 	return n, false, err
+}
+
+// restore rebuilds a checkpointed network, into a parked network of the
+// job's shape when one is available: RestoreCheckpoint re-arms it in
+// place, so the resumed run keeps the storage an earlier run already
+// grew instead of regrowing a fresh network's message history. A parked
+// network that refuses the checkpoint is dropped and the checkpoint is
+// rebuilt from scratch, which reports the error if the bytes are bad.
+func (p *netPool) restore(shape core.Config, data []byte) (*core.Network, error) {
+	if n := p.take(poolKey{shape.Nodes, shape.Buses}); n != nil {
+		if err := n.RestoreCheckpoint(data); err == nil {
+			p.reuses.Add(1)
+			return n, nil
+		}
+		n.Close()
+	}
+	return core.UnmarshalCheckpoint(data)
+}
+
+// take pops a parked network of the given shape, or returns nil.
+func (p *netPool) take(key poolKey) *core.Network {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	l := p.nets[key]
+	if len(l) == 0 {
+		return nil
+	}
+	n := l[len(l)-1]
+	l[len(l)-1] = nil
+	p.nets[key] = l[: len(l)-1 : cap(l)]
+	p.size.Add(-1)
+	return n
 }
 
 // release parks a finished network for reuse, or drops it when the

@@ -349,12 +349,12 @@ func TestCheckpointResumeAcrossManagers(t *testing.T) {
 	m1.Close()
 
 	// The wire form round-trips (this is what rmbd writes to disk).
-	data, err := marshalCheckpointBytes(ck)
+	data, err := EncodeCheckpoint(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wire Checkpoint
-	if err := unmarshalCheckpointBytes(data, &wire); err != nil {
+	wire, err := DecodeCheckpoint(data)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -363,7 +363,7 @@ func TestCheckpointResumeAcrossManagers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	resumed, err := m2.Resume(wire)
+	resumed, err := m2.Resume(*wire)
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
@@ -474,7 +474,7 @@ func TestResumeIDCollision(t *testing.T) {
 
 	// An empty-core checkpoint (suspended before it started) with an ID
 	// squarely in auto-numbering territory.
-	resumed, err := m.Resume(Checkpoint{Version: CheckpointVersion, ID: "j2", Spec: smallSpec(50)})
+	resumed, err := m.Resume(Checkpoint{ID: "j2", Spec: smallSpec(50)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -669,12 +669,8 @@ func TestHTTPAPI(t *testing.T) {
 	srv := httptest.NewServer(NewAPI(m).Handler())
 	defer srv.Close()
 
-	post := func(path string, body any) (*http.Response, []byte) {
+	postRaw := func(path string, data []byte) (*http.Response, []byte) {
 		t.Helper()
-		data, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
 		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
@@ -682,6 +678,14 @@ func TestHTTPAPI(t *testing.T) {
 		defer resp.Body.Close()
 		out, _ := io.ReadAll(resp.Body)
 		return resp, out
+	}
+	post := func(path string, body any) (*http.Response, []byte) {
+		t.Helper()
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return postRaw(path, data)
 	}
 	get := func(path string) (*http.Response, []byte) {
 		t.Helper()
@@ -816,8 +820,9 @@ func TestHTTPAPI(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("checkpoint: %d: %s", resp.StatusCode, body)
 	}
-	var ck Checkpoint
-	if err := json.Unmarshal(body, &ck); err != nil {
+	ckBody := body
+	ck, err := DecodeCheckpoint(ckBody)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ck.Core) == 0 {
@@ -843,7 +848,9 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("checkpoint of canceled job: %d", resp.StatusCode)
 	}
 
-	resp, body = post("/api/v1/resume", ck)
+	// The checkpoint body goes back as it came, under the JSON content
+	// type a generic client sends.
+	resp, body = postRaw("/api/v1/resume", ckBody)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("resume: %d: %s", resp.StatusCode, body)
 	}
@@ -866,6 +873,28 @@ func TestHTTPAPI(t *testing.T) {
 	}
 	rj.Cancel()
 	waitTerminal(t, rj)
+
+	// A JSON (version 1) checkpoint, or a body cut inside its header, is
+	// a 400. The core bytes are not scanned at admission: a body cut
+	// inside them is admitted and fails when the worker restores it.
+	for _, bad := range [][]byte{[]byte(`{"version":1,"id":"j1"}`), ckBody[:40]} {
+		if resp, body = postRaw("/api/v1/resume", bad); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("resume of a bad body: %d: %s", resp.StatusCode, body)
+		}
+	}
+	resp, body = postRaw("/api/v1/resume", ckBody[:len(ckBody)-1])
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resume of a cut core: %d: %s", resp.StatusCode, body)
+	}
+	if err := json.Unmarshal(body, &rst); err != nil {
+		t.Fatal(err)
+	}
+	if rj, err = m.Get(rst.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, rj); st.State != StateFailed || !strings.Contains(st.Error, "checksum") {
+		t.Fatalf("job resumed from a cut core ended %s: %q", st.State, st.Error)
+	}
 
 	// Health endpoint summarizes states.
 	resp, body = get("/healthz")

@@ -2,8 +2,9 @@
 # End-to-end smoke of the rmbd simulation daemon: start it on an
 # ephemeral port, submit a traced job over HTTP, poll it to completion,
 # and fetch the trace stream and the result JSON — the exact sequence a
-# client runs. Then drain the daemon with SIGTERM and check it
-# checkpoints cleanly.
+# client runs. Freeze a running job, cancel it and resume it from the
+# binary checkpoint body. Then drain the daemon with SIGTERM, check it
+# checkpoints cleanly, and restart it on the drain directory.
 #
 # Exits non-zero (and prints the offending step) on any failure.
 set -eu
@@ -133,6 +134,49 @@ case "$stat" in
     *) echo "FAIL: rmbdstat output missing cache hit rate"; printf '%s\n' "$stat"; exit 1 ;;
 esac
 
+# Live checkpoint round trip: freeze a running job, cancel it, post the
+# binary body back with --data-binary (curl -d would strip its newlines),
+# and require the resumed run's result to equal a fresh run's.
+cycle='{"name":"cycle","config":{"Nodes":64,"Buses":4,"Seed":3},"workload":{"pattern":"neighbour","rate":0.05,"payloadLen":16,"measure":200000,"seed":5}}'
+cycid=$(curl -fsS --max-time 10 -d "$cycle" "http://$addr/api/v1/jobs" \
+    | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+[ -n "$cycid" ] || { echo "FAIL: cycle submit returned no job id"; exit 1; }
+for _ in $(seq 1 100); do
+    tick=$(curl -fsS --max-time 10 "http://$addr/api/v1/jobs/$cycid" \
+        | sed -n 's/.*"tick":\([0-9]*\).*/\1/p')
+    [ -n "$tick" ] && [ "$tick" -gt 0 ] && break
+    sleep 0.05
+done
+curl -fsS --max-time 10 -X POST -o "$workdir/cycle.ckpt" "http://$addr/api/v1/jobs/$cycid/checkpoint" \
+    || { echo "FAIL: checkpoint of running job $cycid"; exit 1; }
+curl -fsS --max-time 10 -X POST "http://$addr/api/v1/jobs/$cycid/cancel" >/dev/null
+resid=$(curl -fsS --max-time 10 --data-binary "@$workdir/cycle.ckpt" "http://$addr/api/v1/resume" \
+    | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+[ -n "$resid" ] || { echo "FAIL: resume returned no job id"; exit 1; }
+state=""
+for _ in $(seq 1 600); do
+    state=$(curl -fsS --max-time 10 "http://$addr/api/v1/jobs/$resid" \
+        | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
+    [ "$state" = done ] && break
+    case "$state" in failed|canceled) echo "FAIL: resumed job ended $state"; exit 1 ;; esac
+    sleep 0.1
+done
+[ "$state" = done ] || { echo "FAIL: resumed job not done after 60s (state: $state)"; exit 1; }
+resumed=$(curl -fsS --max-time 10 "http://$addr/api/v1/jobs/$resid/result")
+freshid=$(curl -fsS --max-time 10 -d "$cycle" "http://$addr/api/v1/jobs" \
+    | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+for _ in $(seq 1 600); do
+    state=$(curl -fsS --max-time 10 "http://$addr/api/v1/jobs/$freshid" \
+        | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
+    [ "$state" = done ] && break
+    sleep 0.1
+done
+fresh=$(curl -fsS --max-time 10 "http://$addr/api/v1/jobs/$freshid/result")
+[ "$resumed" = "$fresh" ] || {
+    echo "FAIL: resumed result differs from a fresh run"
+    printf 'resumed: %s\nfresh:   %s\n' "$resumed" "$fresh"; exit 1; }
+echo "ok   checkpoint -> cancel -> --data-binary resume -> done, result equals a fresh run"
+
 # Graceful drain: a long-running job should land in the checkpoint dir.
 long='{"name":"long","config":{"Nodes":16,"Buses":2},"workload":{"rate":0.002,"measure":2000000000}}'
 longid=$(curl -fsS --max-time 10 -d "$long" "http://$addr/api/v1/jobs" \
@@ -154,5 +198,37 @@ kill -0 "$daemonpid" 2>/dev/null && { echo "FAIL: rmbd did not exit after SIGTER
 [ -f "$workdir/ckpt/$longid.ckpt" ] || {
     echo "FAIL: drain left no checkpoint for $longid"; ls "$workdir/ckpt" || true; exit 1; }
 echo "ok   SIGTERM drain checkpointed $longid"
+
+# Restart on the drain directory: the drained job resumes, and a JSON
+# checkpoint left by an older rmbd is set aside instead of blocking the
+# start.
+printf '{"version":1,"id":"old","core":{"magic":"rmb-checkpoint","version":1}}\n' >"$workdir/ckpt/old.ckpt"
+"$workdir/rmbd" -addr 127.0.0.1:0 -workers 2 -queue 8 \
+    -checkpoint-dir "$workdir/ckpt" >"$workdir/stdout2" 2>"$workdir/stderr2" &
+daemonpid=$!
+addr=""
+for _ in $(seq 1 100); do
+    addr=$(sed -n 's/.*listening on \([0-9.:]*\).*/\1/p' "$workdir/stderr2")
+    [ -n "$addr" ] && break
+    kill -0 "$daemonpid" 2>/dev/null || { echo "FAIL: restarted rmbd exited early:"; cat "$workdir/stderr2"; exit 1; }
+    sleep 0.1
+done
+[ -n "$addr" ] || { echo "FAIL: restarted rmbd has no listen address after 10s"; cat "$workdir/stderr2"; exit 1; }
+grep -q 'resumed 1 checkpointed job' "$workdir/stderr2" || {
+    echo "FAIL: restart did not resume the drained job"; cat "$workdir/stderr2"; exit 1; }
+[ -f "$workdir/ckpt/old.ckpt.unsupported" ] || {
+    echo "FAIL: old-format checkpoint not set aside"; ls "$workdir/ckpt"; exit 1; }
+lstate=$(curl -fsS --max-time 10 "http://$addr/api/v1/jobs/$longid" \
+    | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
+case "$lstate" in
+    running|queued) echo "ok   restart resumed $longid ($lstate) and set aside the old-format checkpoint" ;;
+    *) echo "FAIL: resumed job $longid is $lstate"; exit 1 ;;
+esac
+kill -TERM "$daemonpid"
+for _ in $(seq 1 100); do
+    kill -0 "$daemonpid" 2>/dev/null || break
+    sleep 0.1
+done
+kill -0 "$daemonpid" 2>/dev/null && { echo "FAIL: restarted rmbd did not exit after SIGTERM"; exit 1; }
 
 echo "rmbdsmoke: ok"
