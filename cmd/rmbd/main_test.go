@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -62,6 +63,51 @@ func TestResumeFromDirSetsAsideUnsupported(t *testing.T) {
 	}
 	if len(left) != 0 {
 		t.Fatalf("checkpoint files left to resume again: %v", left)
+	}
+}
+
+// TestResumeFromDirSetsAsideV2: testdata/v2-drained.ckpt is a real job
+// checkpoint an earlier rmbd drained mid-run, in the version 2 format
+// whose core carried the whole message history. Start-up must set it
+// aside, bytes intact, and carry on with the current-format file beside
+// it.
+func TestResumeFromDirSetsAsideV2(t *testing.T) {
+	v2, err := os.ReadFile(filepath.Join("testdata", "v2-drained.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := service.DecodeCheckpoint(v2); !errors.Is(err, service.ErrUnsupportedVersion) {
+		t.Fatalf("DecodeCheckpoint(v2) = %v, want ErrUnsupportedVersion", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "j1.ckpt"), v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeCheckpointFile(dir, &service.Checkpoint{ID: "j2", Spec: smallSpec()}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := service.NewManager(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	n, err := resumeFromDir(m, dir)
+	if err != nil {
+		t.Fatalf("resumeFromDir refused to start: %v", err)
+	}
+	if n != 1 {
+		t.Fatalf("resumed %d checkpoints, want 1", n)
+	}
+	kept, err := os.ReadFile(filepath.Join(dir, "j1.ckpt.unsupported"))
+	if err != nil {
+		t.Fatalf("v2 checkpoint not set aside: %v", err)
+	}
+	if !bytes.Equal(kept, v2) {
+		t.Fatal("v2 checkpoint's bytes changed when it was set aside")
+	}
+	if _, err := m.Get("j2"); err != nil {
+		t.Fatalf("current-format checkpoint not resumed: %v", err)
 	}
 }
 

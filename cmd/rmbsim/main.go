@@ -196,6 +196,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rmbsim: %v\n", err)
 		os.Exit(2)
 	}
+	var hist *core.History // the per-message views need every finished record
+	if *jsonOut || *gantt {
+		hist = core.NewHistory(n)
+	}
 	data := make([]uint64, *payload)
 	for i := range data {
 		data[i] = uint64(i)
@@ -240,7 +244,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		rep := results.FromNetwork(n, p.Name, true, true)
+		rep := results.FromNetwork(n, hist, p.Name, true)
 		if err := rep.Write(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "rmbsim: %v\n", err)
 			os.Exit(1)
@@ -280,6 +284,6 @@ func main() {
 	}
 	if *gantt {
 		fmt.Println()
-		fmt.Print(trace.Gantt{}.Render(n.Records()))
+		fmt.Print(trace.Gantt{}.Render(hist.Records()))
 	}
 }

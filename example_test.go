@@ -12,13 +12,14 @@ func ExampleNew() {
 	if err != nil {
 		panic(err)
 	}
+	hist := rmb.NewHistory(net)
 	if _, err := net.Send(0, 5, []uint64{100, 200}); err != nil {
 		panic(err)
 	}
 	if err := net.Drain(10_000); err != nil {
 		panic(err)
 	}
-	for _, m := range net.Delivered() {
+	for _, m := range hist.Delivered() {
 		fmt.Printf("%d -> %d: %v\n", m.Src, m.Dst, m.Payload)
 	}
 	// Output:
@@ -59,13 +60,14 @@ func ExampleNetwork_broadcast() {
 	if err != nil {
 		panic(err)
 	}
+	hist := rmb.NewHistory(net)
 	if _, err := net.Broadcast(0, []uint64{7}); err != nil {
 		panic(err)
 	}
 	if err := net.Drain(10_000); err != nil {
 		panic(err)
 	}
-	fmt.Printf("copies delivered: %d\n", len(net.Delivered()))
+	fmt.Printf("copies delivered: %d\n", len(hist.Delivered()))
 	// Output:
 	// copies delivered: 5
 }

@@ -30,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("broadcast: %d copies delivered in %v (one circuit, payload clocked once)\n",
-		len(bc.Delivered()), bc.Now())
+		bc.Stats().Delivered, bc.Now())
 
 	// The same fan-out as fifteen sequential unicasts.
 	uc, err := rmb.New(rmb.Config{Nodes: n, Buses: 3, Seed: 1})
@@ -45,7 +45,7 @@ func main() {
 	if err := uc.Drain(500_000); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("repeated unicast: %d messages delivered in %v\n", len(uc.Delivered()), uc.Now())
+	fmt.Printf("repeated unicast: %d messages delivered in %v\n", uc.Stats().Delivered, uc.Now())
 	fmt.Printf("speedup from the multicast circuit: %.1fx\n", float64(uc.Now())/float64(bc.Now()))
 
 	// Selective multicast to a subset.
@@ -53,6 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	hist := rmb.NewHistory(mc) // keeps the finished multicast's record and copies
 	id, err := mc.SendMulticast(2, []rmb.NodeID{5, 9, 13}, []uint64{42})
 	if err != nil {
 		log.Fatal(err)
@@ -60,9 +61,9 @@ func main() {
 	if err := mc.Drain(100_000); err != nil {
 		log.Fatal(err)
 	}
-	rec, _ := mc.Record(id)
+	rec, _ := hist.Record(id)
 	fmt.Printf("multicast %d: fanout %d, circuit spans %d hops, delivered to:", id, rec.Fanout, rec.Distance)
-	for _, m := range mc.Delivered() {
+	for _, m := range hist.Delivered() {
 		fmt.Printf(" %d", m.Dst)
 	}
 	fmt.Println()

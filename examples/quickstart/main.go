@@ -16,6 +16,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The ring forgets a message once it is delivered; a History keeps
+	// the delivered messages and their lifecycle records.
+	hist := rmb.NewHistory(net)
 
 	// Node 0 sends three data words to node 5. The header flit enters on
 	// the top bus, draws a virtual bus clockwise, and the circuit carries
@@ -30,11 +33,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	for _, m := range net.Delivered() {
+	for _, m := range hist.Delivered() {
 		fmt.Printf("delivered message %d: %d -> %d, payload %v\n", m.ID, m.Src, m.Dst, m.Payload)
 	}
 
-	rec, _ := net.Record(id)
+	rec, _ := hist.Record(id)
 	fmt.Printf("inserted at %v, circuit established at %v, delivered at %v (%d attempt(s))\n",
 		rec.FirstInserted, rec.Established, rec.Delivered, rec.Attempts)
 

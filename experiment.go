@@ -67,7 +67,8 @@ type PatternResult struct {
 // RunPattern submits every demand of the pattern at tick zero with the
 // given payload length, drains the network, and reports completion
 // statistics together with the off-line comparison. The network must be
-// fresh (nothing previously submitted).
+// fresh (nothing previously submitted); RunPattern attaches a History to
+// it to read the messages' latencies.
 func RunPattern(n *Network, p Pattern, payloadLen int, maxTicks Tick) (PatternResult, error) {
 	if err := p.Validate(); err != nil {
 		return PatternResult{}, err
@@ -75,6 +76,7 @@ func RunPattern(n *Network, p Pattern, payloadLen int, maxTicks Tick) (PatternRe
 	if p.Nodes != n.Config().Nodes {
 		return PatternResult{}, fmt.Errorf("rmb: pattern spans %d nodes but network has %d", p.Nodes, n.Config().Nodes)
 	}
+	hist := NewHistory(n)
 	payload := make([]uint64, payloadLen)
 	for i := range payload {
 		payload[i] = uint64(i)
@@ -94,7 +96,7 @@ func RunPattern(n *Network, p Pattern, payloadLen int, maxTicks Tick) (PatternRe
 	}
 	var sum float64
 	count := 0
-	n.EachRecord(func(r MsgRecord) {
+	hist.EachRecord(func(r MsgRecord) {
 		if !r.Done {
 			return
 		}

@@ -83,13 +83,14 @@ func TestFacadeMulticast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hist := rmb.NewHistory(n)
 	if _, err := n.SendMulticast(0, []rmb.NodeID{3, 7}, []uint64{9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Drain(100_000); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(n.Delivered()); got != 2 {
+	if got := len(hist.Delivered()); got != 2 {
 		t.Fatalf("multicast delivered %d copies", got)
 	}
 	if _, err := n.Broadcast(5, []uint64{1}); err != nil {
@@ -98,7 +99,7 @@ func TestFacadeMulticast(t *testing.T) {
 	if err := n.Drain(200_000); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(n.Delivered()); got != 2+9 {
+	if got := len(hist.Delivered()); got != 2+9 {
 		t.Fatalf("after broadcast delivered %d copies, want 11", got)
 	}
 }

@@ -114,6 +114,12 @@ type Network struct {
 	stopOnce sync.Once
 	done     chan struct{}
 	wg       sync.WaitGroup
+
+	// holdReceive, when set (by tests, before the first Send), is asked
+	// as a final flit reaches its destination node and again on every
+	// tick after: while it returns true the final flit waits, keeping
+	// that node's receive port busy.
+	holdReceive func(node int) bool
 }
 
 // New builds and starts an asynchronous network.

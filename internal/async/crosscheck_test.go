@@ -58,6 +58,7 @@ func TestCrossImplementationAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			cycHist := core.NewHistory(cyc)
 			for _, d := range p.Demands {
 				if _, err := cyc.Send(core.NodeID(d.Src), core.NodeID(d.Dst), payloadFor(d)); err != nil {
 					t.Fatal(err)
@@ -85,7 +86,7 @@ func TestCrossImplementationAgreement(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			a := fingerprint(cyc.Delivered())
+			a := fingerprint(cycHist.Delivered())
 			b := fingerprint(got)
 			if len(a) != len(b) {
 				t.Fatalf("delivered counts differ: cycle %d, async %d", len(a), len(b))
@@ -115,6 +116,7 @@ func TestCrossImplementationContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cycHist := core.NewHistory(cyc)
 	for _, d := range coreDemands {
 		if _, err := cyc.Send(core.NodeID(d.Src), 0, []uint64{uint64(d.Src)}); err != nil {
 			t.Fatal(err)
@@ -134,7 +136,7 @@ func TestCrossImplementationContention(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := fingerprint(cyc.Delivered())
+	a := fingerprint(cycHist.Delivered())
 	b := fingerprint(got)
 	if len(a) != len(b) {
 		t.Fatalf("delivered counts differ: cycle %d, async %d", len(a), len(b))

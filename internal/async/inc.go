@@ -40,6 +40,9 @@ type inc struct {
 	// message.
 	recvLine  int
 	recvFlits []flit.Flit
+	// parkedFinal is a final flit the holdReceive test hook is keeping
+	// unprocessed, so the receive port stays busy; nil otherwise.
+	parkedFinal *flit.Flit
 
 	// sendQueue holds local messages; sendActive is the one in flight.
 	sendQueue  []*localSend
@@ -163,6 +166,11 @@ func (c *inc) run() {
 // insertion.
 func (c *inc) onTick() {
 	c.tick++
+	if c.parkedFinal != nil && !c.net.holdReceive(c.id) {
+		f := *c.parkedFinal
+		c.parkedFinal = nil
+		c.completeReceive(f)
+	}
 	c.expireHeld()
 	c.retryHeld()
 	c.tryInsert()
@@ -270,17 +278,27 @@ func (c *inc) onLocalFlit(line int, f flit.Flit) {
 	case flit.Data:
 		c.sendBack(line, flit.AckSignal{Ack: flit.Dack, Msg: f.Msg, Seq: f.Seq})
 	case flit.Final:
-		m, err := flit.Reassemble(c.recvFlits)
-		if err != nil {
-			panic(fmt.Sprintf("async: inc%d reassembly: %v", c.id, err))
+		if c.net.holdReceive != nil && c.net.holdReceive(c.id) {
+			c.parkedFinal = &f
+			return
 		}
-		c.sendBack(line, flit.AckSignal{Ack: flit.Fack, Msg: f.Msg})
-		c.recvLine = -1
-		c.net.ctr.delivered.Add(1)
-		select {
-		case c.net.deliveries <- m:
-		case <-c.net.done:
-		}
+		c.completeReceive(f)
+	}
+}
+
+// completeReceive finishes the message on the receive line once its
+// final flit has arrived: Fack upstream, free the port, deliver.
+func (c *inc) completeReceive(f flit.Flit) {
+	m, err := flit.Reassemble(c.recvFlits)
+	if err != nil {
+		panic(fmt.Sprintf("async: inc%d reassembly: %v", c.id, err))
+	}
+	c.sendBack(c.recvLine, flit.AckSignal{Ack: flit.Fack, Msg: f.Msg})
+	c.recvLine = -1
+	c.net.ctr.delivered.Add(1)
+	select {
+	case c.net.deliveries <- m:
+	case <-c.net.done:
 	}
 }
 

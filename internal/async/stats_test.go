@@ -34,12 +34,17 @@ func TestStatsCountDeliveries(t *testing.T) {
 	}
 }
 
+// TestStatsCountNacksAndRetries sends seven messages to node 0. The
+// receive-port hook keeps node 0 busy with the first message until it
+// has refused another, so the collision — a Nack, then a retry — is
+// certain rather than a matter of goroutine timing.
 func TestStatsCountNacksAndRetries(t *testing.T) {
 	n, err := New(Config{Nodes: 8, Buses: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Stop()
+	n.holdReceive = func(node int) bool { return node == 0 && n.ctr.nacksSent.Load() == 0 }
 	var demands []Demand
 	for s := 1; s < 8; s++ {
 		demands = append(demands, Demand{Src: flit.NodeID(s), Dst: 0, Payload: []uint64{uint64(s)}})

@@ -34,21 +34,42 @@ func (n *Network) Audit() error {
 // auditConservation checks that no message is ever lost: everything
 // submitted is delivered, active as a virtual bus, queued at its source,
 // or waiting in the retry timer queue. Multicasts count once (they have
-// one record regardless of fanout).
+// one record regardless of fanout). Only the live window is walked:
+// messages below it have finished by construction, and the window's
+// bottom record must be unfinished, or it would have been retired.
 func (n *Network) auditConservation() error {
-	var unfinished int64
-	for i := range n.records {
-		if !n.records[i].Done {
-			unfinished++
-		}
+	if n.recBase < 1 || n.windowLen() < 0 || n.windowLen() > len(n.recSlot) {
+		return fmt.Errorf("core: audit: message window [%d, %d] does not fit its %d slots", n.recBase, n.nextMsg, len(n.recSlot))
 	}
-	// A delivered message's virtual bus lives on through the Fack sweep;
-	// count only buses whose message has not completed.
+	var unfinished int64
+	for id := n.recBase; id <= n.nextMsg; id++ {
+		e := n.entry(id)
+		if e < 0 {
+			if id == n.recBase {
+				return fmt.Errorf("core: audit: finished message %d at the bottom of the live window was not retired", id)
+			}
+			continue
+		}
+		if int(e) >= len(n.pool) || n.pool[e].ID != id || n.pool[e].Done {
+			return fmt.Errorf("core: audit: window entry %d for message %d does not hold its unfinished record", e, id)
+		}
+		unfinished++
+	}
+	if int(unfinished)+len(n.poolFree) != len(n.pool) {
+		return fmt.Errorf("core: audit: record pool has %d entries but %d unfinished messages and %d free", len(n.pool), unfinished, len(n.poolFree))
+	}
+	// A delivered message's virtual bus lives on through the Fack sweep,
+	// after its record may have been recycled; count only buses whose
+	// message has not been delivered.
 	inFlight := int64(0)
 	for _, vb := range n.active {
-		if r := n.record(vb.Msg); r == nil || !r.Done {
-			inFlight++
+		if vb.Delivered != 0 {
+			continue
 		}
+		if n.record(vb.Msg) == nil {
+			return fmt.Errorf("core: audit: undelivered vb%d carries message %d, which is not unfinished", vb.ID, vb.Msg)
+		}
+		inFlight++
 	}
 	queued := int64(0)
 	for _, q := range n.pending {

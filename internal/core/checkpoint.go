@@ -18,8 +18,12 @@ package core
 //     counters, the insertion queues, the retry wheel and fault timer
 //     queues (via the serializable payloads attached at their Schedule
 //     sites — closures cannot round-trip), the transfer wake wheel (its
-//     raw heap array, already pointer-free), message records, payloads,
-//     the delivered log, stats, and the Async dirty set.
+//     raw heap array, already pointer-free), the live message window —
+//     [oldest unfinished ID, next ID], with the records and payloads of
+//     its unfinished messages and a Done flag for each finished one —
+//     stats, and the Async dirty set. Finished messages went to the
+//     delivery hooks; a checkpoint does not carry them, so it scales with
+//     the live ring, not with the run's history.
 //   - Rebuilt on load: the occupancy grid (replayed from each bus's
 //     Levels through claimSeg), every SoA mirror (occ/faulty/busy
 //     bitsets, flat occupant view, phase bitsets, packed INC status),
@@ -28,23 +32,23 @@ package core
 //     the reconstruction wholesale, so a corrupt checkpoint surfaces as
 //     an error instead of undefined simulation.
 //
-// The format (version 2) is binary and length-prefixed:
+// The format (version 3) is binary and length-prefixed:
 //
 //	magic    8 bytes, "rmb-ckpt"
 //	version  1 byte, CheckpointVersion
 //	sum      8 bytes, little-endian FNV-64a of the body
 //	body     the sections of ckptCodec.state, in that order
 //
-// Bulk state — message records, payloads, the delivered log, INCs, live
-// buses, queued and retrying requests, the wake wheel — is written as
-// zigzag-varint columns (encoding/binary), with tick and ID columns as
-// deltas. Config, Stats and each pending FaultEvent are length-prefixed
+// Bulk state — window records and payloads, INCs, live buses, queued and
+// retrying requests, the wake wheel — is written as zigzag-varint columns
+// (encoding/binary), with tick and ID columns as deltas. Config, Stats and each pending FaultEvent are length-prefixed
 // JSON sub-sections, so a field added to those structs later travels
 // with them instead of being dropped silently. Every length is checked
 // against the bytes that remain before anything is allocated for it, and
 // the reader accepts only the writer's own byte form, so a restored
-// network re-marshals byte for byte. Any other version — including every
-// JSON (version 1) checkpoint — is refused with ErrUnsupportedVersion:
+// network re-marshals byte for byte. Any other version — every JSON
+// (version 1) checkpoint, and every version 2 checkpoint, which carried
+// the whole message history — is refused with ErrUnsupportedVersion:
 // checkpoints are drain artefacts, not archives, so there is one decoder.
 //
 // Checkpoints are only valid at tick boundaries — between Step calls —
@@ -69,7 +73,7 @@ import (
 // CheckpointVersion is the current checkpoint format version. Readers
 // reject other versions outright: the format mirrors internal state, so
 // cross-version migration would be a false promise.
-const CheckpointVersion = 2
+const CheckpointVersion = 3
 
 // checkpointMagic opens every checkpoint; ckptHeaderLen covers the magic,
 // the version byte and the body checksum.
@@ -145,13 +149,6 @@ type ckptWake struct {
 	VB VBID
 }
 
-// ckptDelivered is one delivered-log entry; the payload is re-aliased
-// from the payload store on restore.
-type ckptDelivered struct {
-	ID       flit.MessageID
-	Src, Dst NodeID
-}
-
 // ckptState is the complete serialized network.
 type ckptState struct {
 	Cfg          Config
@@ -161,14 +158,14 @@ type ckptState struct {
 	InsertRotate int
 	NextVB       VBID
 	NextMsg      flit.MessageID
+	RecBase      flit.MessageID // ID of Records[0]: the oldest unfinished message
 	Stats        Stats
 	SegFaulty    []bool
 	INCFaulty    []bool
 	AsyncDirty   []bool // empty outside Async mode
 	INCs         []ckptINC
-	Records      []MsgRecord
-	Payloads     [][]uint64 // Payloads[i] holds Records[i].PayloadLen words
-	Delivered    []ckptDelivered
+	Records      []MsgRecord // the window [RecBase, NextMsg]
+	Payloads     [][]uint64  // Records[i].PayloadLen words if unfinished, else nil
 	Active       []ckptVB
 	Pending      []ckptRequest // queue order, node by node
 	Retries      []ckptRequest // firing order
@@ -210,7 +207,7 @@ func (n *Network) AppendCheckpoint(dst []byte) ([]byte, error) {
 }
 
 // checkpointState gathers the network's state into its serialized form.
-// Records and payloads are shared with the network, not copied.
+// Payloads are shared with the network, not copied.
 func (n *Network) checkpointState() (*ckptState, error) {
 	st := &ckptState{
 		Cfg:          n.checkpointConfig(),
@@ -220,12 +217,22 @@ func (n *Network) checkpointState() (*ckptState, error) {
 		InsertRotate: n.insertRotate,
 		NextVB:       n.nextVB,
 		NextMsg:      n.nextMsg,
+		RecBase:      n.recBase,
 		Stats:        n.stats,
 		SegFaulty:    n.segFaultyFlat,
 		INCFaulty:    n.incFaulty,
 		AsyncDirty:   n.asyncDirty,
-		Records:      n.records,
-		Payloads:     n.payloads,
+		Records:      make([]MsgRecord, n.windowLen()),
+		Payloads:     make([][]uint64, n.windowLen()),
+	}
+	for i := range st.Records {
+		id := n.recBase + flit.MessageID(i)
+		if r := n.record(id); r != nil {
+			st.Records[i] = *r
+			st.Payloads[i] = n.payloadOf(id)
+		} else {
+			st.Records[i] = MsgRecord{ID: id, Done: true}
+		}
 	}
 	st.INCs = make([]ckptINC, len(n.incs))
 	for i := range n.incs {
@@ -283,10 +290,6 @@ func (n *Network) checkpointState() (*ckptState, error) {
 	for i, w := range n.wheel {
 		st.Wheel[i] = ckptWake{At: w.at, VB: w.id}
 	}
-	st.Delivered = make([]ckptDelivered, len(n.delivered))
-	for i, m := range n.delivered {
-		st.Delivered[i] = ckptDelivered{ID: m.ID, Src: m.Src, Dst: m.Dst}
-	}
 	return st, nil
 }
 
@@ -297,7 +300,7 @@ func (st *ckptState) sizeHint() int {
 	for _, p := range st.Payloads {
 		words += len(p)
 	}
-	return 4096 + words + 16*len(st.Records) + 6*len(st.Delivered) + 8*len(st.INCs) +
+	return 4096 + words + 16*len(st.Records) + 8*len(st.INCs) +
 		64*len(st.Active) + 8*(len(st.Pending)+len(st.Retries)+len(st.Wheel))
 }
 
@@ -358,7 +361,7 @@ type ckptInt interface {
 	~int | ~int8 | ~int32 | ~int64 | ~uint8 | ~uint64
 }
 
-// ckptCodec moves a ckptState through the version 2 body in one
+// ckptCodec moves a ckptState through the version 3 body in one
 // direction: the writer (dec == false) appends to buf, the reader
 // (dec == true) consumes buf from off. The layout is described once, in
 // state, and run by both, so the two cannot drift apart. The reader
@@ -424,8 +427,25 @@ func delta[T ckptInt](c *ckptCodec, p, prev *T) {
 	*prev = *p
 }
 
-// rel moves *p as its offset from base.
-func rel[T ckptInt](c *ckptCodec, p *T, base T) { delta(c, p, &base) }
+// since moves an optional tick — zero until its event happens — as 0
+// when unset and as its offset from base plus one otherwise, so an unset
+// tick costs one byte rather than a varint of -base.
+func since(c *ckptCodec, p *sim.Tick, base sim.Tick) {
+	var v sim.Tick
+	if !c.dec && *p != 0 {
+		if v = *p - base + 1; v < 1 {
+			c.fail("tick %d precedes its base %d", *p, base)
+			return
+		}
+	}
+	num(c, &v)
+	if !c.dec || v == 0 {
+		return
+	}
+	if *p = base + v - 1; v < 0 || *p == 0 {
+		c.fail("tick offset %d from %d is not in canonical form", v, base)
+	}
+}
 
 // flag moves one bool as a 0/1 varint.
 func (c *ckptCodec) flag(p *bool) {
@@ -536,7 +556,7 @@ func (c *ckptCodec) jsonSection(v any) {
 	}
 }
 
-// state is the version 2 body layout, section by section.
+// state is the version 3 body layout, section by section.
 func (c *ckptCodec) state(st *ckptState) {
 	c.jsonSection(&st.Cfg)
 	num(c, &st.Now)
@@ -545,14 +565,14 @@ func (c *ckptCodec) state(st *ckptState) {
 	num(c, &st.InsertRotate)
 	num(c, &st.NextVB)
 	num(c, &st.NextMsg)
+	num(c, &st.RecBase)
 	c.jsonSection(&st.Stats)
 	c.bits(&st.SegFaulty)
 	c.bits(&st.INCFaulty)
 	c.bits(&st.AsyncDirty)
 	c.incs(&st.INCs)
-	c.records(&st.Records)
+	c.records(&st.Records, st.RecBase, st.Cfg.Nodes)
 	c.payloads(st.Records, &st.Payloads)
-	c.delivered(&st.Delivered)
 	c.buses(&st.Active)
 	c.requests(&st.Pending, false)
 	c.requests(&st.Retries, true)
@@ -570,36 +590,67 @@ func (c *ckptCodec) incs(s *[]ckptINC) {
 	column(*s, func(x *ckptINC) { num(c, &x.RecvActive) })
 }
 
-// records moves the message records. IDs are dense from 1, so they are
-// positional rather than stored; the other ticks are offsets from the
-// enqueue tick.
-func (c *ckptCodec) records(s *[]MsgRecord) {
+// records moves the window's message records. IDs are dense from base,
+// so they are positional rather than stored. A finished record carries
+// only its Done flag: the network has handed the message to its delivery
+// hooks and keeps nothing of it but the slot. An unfinished one carries
+// its fields, with Dst derived from Src and Distance, the enqueue ticks
+// as deltas and the other ticks as offsets from them (Delivered is zero
+// until the message finishes, so it is not stored).
+func (c *ckptCodec) records(s *[]MsgRecord, base flit.MessageID, nodes int) {
 	sized(c, s)
+	if c.dec && len(*s) > 0 && nodes < 2 {
+		c.fail("%d records on a %d-node ring", len(*s), nodes)
+	}
+	if c.err != nil {
+		return
+	}
 	rs := *s
 	for i := range rs {
+		r := &rs[i]
 		if c.dec {
-			rs[i].ID = flit.MessageID(i + 1)
-		} else if rs[i].ID != flit.MessageID(i+1) {
-			c.fail("record %d carries message ID %d", i, rs[i].ID)
+			r.ID = base + flit.MessageID(i)
+			continue
+		}
+		if r.ID != base+flit.MessageID(i) {
+			c.fail("record %d carries message ID %d", i, r.ID)
+		} else if !r.Done && r.Delivered != 0 {
+			c.fail("unfinished message %d has a delivery tick", r.ID)
 		}
 	}
-	var enqueued sim.Tick
-	column(rs, func(r *MsgRecord) { num(c, &r.Src) })
-	column(rs, func(r *MsgRecord) { num(c, &r.Dst) })
-	column(rs, func(r *MsgRecord) { num(c, &r.Distance) })
-	column(rs, func(r *MsgRecord) { num(c, &r.PayloadLen) })
-	column(rs, func(r *MsgRecord) { num(c, &r.Fanout) })
-	column(rs, func(r *MsgRecord) { num(c, &r.Attempts) })
-	column(rs, func(r *MsgRecord) { delta(c, &r.Enqueued, &enqueued) })
-	column(rs, func(r *MsgRecord) { rel(c, &r.FirstInserted, r.Enqueued) })
-	column(rs, func(r *MsgRecord) { rel(c, &r.Established, r.Enqueued) })
-	column(rs, func(r *MsgRecord) { rel(c, &r.Delivered, r.Enqueued) })
 	column(rs, func(r *MsgRecord) { c.flag(&r.Done) })
+	live := func(f func(*MsgRecord)) {
+		column(rs, func(r *MsgRecord) {
+			if !r.Done {
+				f(r)
+			}
+		})
+	}
+	var src NodeID
+	var enqueued sim.Tick
+	live(func(r *MsgRecord) { delta(c, &r.Src, &src) })
+	live(func(r *MsgRecord) {
+		num(c, &r.Distance)
+		if c.dec && c.err == nil {
+			if r.Distance < 1 || r.Distance >= nodes {
+				c.fail("message %d spans %d hops on a %d-node ring", r.ID, r.Distance, nodes)
+				return
+			}
+			r.Dst = NodeID((int(r.Src) + r.Distance) % nodes)
+		}
+	})
+	live(func(r *MsgRecord) { num(c, &r.PayloadLen) })
+	live(func(r *MsgRecord) { num(c, &r.Fanout) })
+	live(func(r *MsgRecord) { num(c, &r.Attempts) })
+	live(func(r *MsgRecord) { delta(c, &r.Enqueued, &enqueued) })
+	live(func(r *MsgRecord) { since(c, &r.FirstInserted, r.Enqueued) })
+	live(func(r *MsgRecord) { since(c, &r.Established, r.Enqueued) })
 }
 
-// payloads moves every record's payload words as one column. Their
-// lengths are the records' PayloadLen, so they are not stored twice; the
-// reader carves all payloads from one allocation.
+// payloads moves every unfinished record's payload words as one column
+// (a finished message's payload left with it). Their lengths are the
+// records' PayloadLen, so they are not stored twice; the reader carves
+// all payloads from one allocation.
 func (c *ckptCodec) payloads(rs []MsgRecord, s *[][]uint64) {
 	if !c.dec {
 		if len(*s) != len(rs) {
@@ -607,8 +658,8 @@ func (c *ckptCodec) payloads(rs []MsgRecord, s *[][]uint64) {
 			return
 		}
 		for i, p := range *s {
-			if len(p) != rs[i].PayloadLen {
-				c.fail("message %d has %d payload words but PayloadLen %d", i+1, len(p), rs[i].PayloadLen)
+			if want := payloadWords(&rs[i]); len(p) != want {
+				c.fail("message %d has %d payload words but needs %d", rs[i].ID, len(p), want)
 				return
 			}
 			for j := range p {
@@ -622,9 +673,9 @@ func (c *ckptCodec) payloads(rs []MsgRecord, s *[][]uint64) {
 	}
 	total, left := 0, len(c.buf)-c.off
 	for i := range rs {
-		l := rs[i].PayloadLen
+		l := payloadWords(&rs[i])
 		if l < 0 || l > left-total {
-			c.fail("truncated: message %d's %d payload words exceed the %d bytes that remain", i+1, l, left-total)
+			c.fail("truncated: message %d's %d payload words exceed the %d bytes that remain", rs[i].ID, l, left-total)
 			return
 		}
 		total += l
@@ -632,7 +683,7 @@ func (c *ckptCodec) payloads(rs []MsgRecord, s *[][]uint64) {
 	words := make([]uint64, total)
 	*s = make([][]uint64, len(rs))
 	for i := range rs {
-		l := rs[i].PayloadLen
+		l := payloadWords(&rs[i])
 		if l == 0 {
 			continue // empty payloads share nil, as carvePayload's do
 		}
@@ -645,16 +696,18 @@ func (c *ckptCodec) payloads(rs []MsgRecord, s *[][]uint64) {
 	}
 }
 
-func (c *ckptCodec) delivered(s *[]ckptDelivered) {
-	sized(c, s)
-	var id flit.MessageID
-	column(*s, func(d *ckptDelivered) { delta(c, &d.ID, &id) })
-	column(*s, func(d *ckptDelivered) { num(c, &d.Src) })
-	column(*s, func(d *ckptDelivered) { num(c, &d.Dst) })
+// payloadWords is the number of payload words a checkpoint carries for
+// one window record: its PayloadLen while unfinished, none once done.
+func payloadWords(r *MsgRecord) int {
+	if r.Done {
+		return 0
+	}
+	return r.PayloadLen
 }
 
-// buses moves the live virtual buses; their ticks are offsets from the
-// insertion tick, and variable-length fields are length-prefixed runs.
+// buses moves the live virtual buses; their optional ticks are offsets
+// from the insertion tick, and variable-length fields are length-prefixed
+// runs.
 func (c *ckptCodec) buses(s *[]ckptVB) {
 	sized(c, s)
 	vbs := *s
@@ -675,9 +728,9 @@ func (c *ckptCodec) buses(s *[]ckptVB) {
 	column(vbs, func(v *ckptVB) { num(c, &v.DataSent) })
 	column(vbs, func(v *ckptVB) { num(c, &v.DataDelivered) })
 	column(vbs, func(v *ckptVB) { delta(c, &v.Inserted, &inserted) })
-	column(vbs, func(v *ckptVB) { rel(c, &v.Established, v.Inserted) })
-	column(vbs, func(v *ckptVB) { rel(c, &v.Delivered, v.Inserted) })
-	column(vbs, func(v *ckptVB) { rel(c, &v.TransferStart, v.Inserted) })
+	column(vbs, func(v *ckptVB) { since(c, &v.Established, v.Inserted) })
+	column(vbs, func(v *ckptVB) { since(c, &v.Delivered, v.Inserted) })
+	column(vbs, func(v *ckptVB) { since(c, &v.TransferStart, v.Inserted) })
 	column(vbs, func(v *ckptVB) { num(c, &v.Attempt) })
 	column(vbs, func(v *ckptVB) { num(c, &v.HeadWait) })
 	column(vbs, func(v *ckptVB) { num(c, &v.HeadLimit) })
@@ -685,8 +738,8 @@ func (c *ckptCodec) buses(s *[]ckptVB) {
 	column(vbs, func(v *ckptVB) { ticks(c, &v.SendTicks, v.TransferStart) })
 	column(vbs, func(v *ckptVB) { num(c, &v.DeliveredIdx) })
 	column(vbs, func(v *ckptVB) { num(c, &v.DackedIdx) })
-	column(vbs, func(v *ckptVB) { rel(c, &v.FFLaunchAt, v.Inserted) })
-	column(vbs, func(v *ckptVB) { rel(c, &v.FFArriveAt, v.Inserted) })
+	column(vbs, func(v *ckptVB) { since(c, &v.FFLaunchAt, v.Inserted) })
+	column(vbs, func(v *ckptVB) { since(c, &v.FFArriveAt, v.Inserted) })
 	column(vbs, func(v *ckptVB) { c.flag(&v.FFScheduled) })
 }
 
@@ -861,23 +914,27 @@ func (n *Network) restore(st *ckptState) error {
 	n.nextMsg = st.NextMsg
 	n.stats = st.Stats
 
-	// Message history. The decoded records and payloads become the
-	// network's own — copied into its existing capacity when a Reset
-	// network has room, so the resumed run appends without regrowing —
-	// and delivered payloads re-alias that store, matching
-	// rebuiltMessage's aliasing in the original process.
+	// The live message window, laid out from index zero of the network's
+	// ring — a Reset network keeps its ring, record pool and payload
+	// buffers, so a resumed run does not regrow them. Unfinished records
+	// take pool entries and their payloads fresh buffers, which restored
+	// requests then alias as Send's do.
+	n.recBase = st.RecBase
+	n.growWindow(len(st.Records))
+	n.recHead = 0
 	for i := range st.Records {
-		if r := &st.Records[i]; !n.onRing(r.Src) || !n.onRing(r.Dst) {
+		r := &st.Records[i]
+		if r.Done {
+			n.recSlot[i] = -1
+			continue
+		}
+		if !n.onRing(r.Src) || !n.onRing(r.Dst) {
 			return fmt.Errorf("core: checkpoint: message %d endpoints %d->%d outside the ring", r.ID, r.Src, r.Dst)
 		}
-	}
-	n.records = adopt(n.records, st.Records)
-	n.payloads = adopt(n.payloads, st.Payloads)
-	for _, d := range st.Delivered {
-		if d.ID < 1 || int(d.ID) > len(n.payloads) {
-			return fmt.Errorf("core: checkpoint: delivered message %d outside payload store", d.ID)
-		}
-		n.delivered = append(n.delivered, flit.Message{ID: d.ID, Src: d.Src, Dst: d.Dst, Payload: n.payloads[d.ID-1]})
+		e := n.newEntry()
+		n.pool[e] = *r
+		n.entryWords(e, st.Payloads[i])
+		n.recSlot[i] = e
 	}
 
 	// INC state (idDelay overwrites the construction-time draws; the RNG
@@ -1007,15 +1064,6 @@ func (n *Network) restore(st *ckptState) error {
 	return nil
 }
 
-// adopt returns src's elements in dst's backing array when it has room,
-// else src itself.
-func adopt[T any](dst, src []T) []T {
-	if cap(dst) < len(src) {
-		return src
-	}
-	return append(dst[:0], src...)
-}
-
 // onRing reports whether node names one of the ring's INCs.
 func (n *Network) onRing(node NodeID) bool { return node >= 0 && int(node) < n.cfg.Nodes }
 
@@ -1048,8 +1096,8 @@ func validateCkptShape(st *ckptState) error {
 	if len(st.AsyncDirty) != wantDirty {
 		return fmt.Errorf("core: checkpoint: async dirty map has %d entries, want %d", len(st.AsyncDirty), wantDirty)
 	}
-	if int(st.NextMsg) != len(st.Records) {
-		return fmt.Errorf("core: checkpoint: next message ID %d but %d records", st.NextMsg, len(st.Records))
+	if st.RecBase < 1 || st.RecBase > st.NextMsg+1 || st.NextMsg-st.RecBase+1 != flit.MessageID(len(st.Records)) {
+		return fmt.Errorf("core: checkpoint: message window [%d, %d] but %d records", st.RecBase, st.NextMsg, len(st.Records))
 	}
 	if st.Now < 0 {
 		return fmt.Errorf("core: checkpoint: negative clock %d", st.Now)
@@ -1064,11 +1112,19 @@ func restoreVB(n *Network, cv *ckptVB) (*VirtualBus, error) {
 	if !n.onRing(cv.Src) || !n.onRing(cv.Dst) || !n.onRing(cv.Head) {
 		return nil, fmt.Errorf("core: checkpoint: vb%d endpoints %d->%d (head %d) outside the ring", cv.ID, cv.Src, cv.Dst, cv.Head)
 	}
-	if cv.Msg < 1 || int(cv.Msg) > len(n.payloads) {
+	if cv.Msg < 1 || cv.Msg > n.nextMsg {
 		return nil, fmt.Errorf("core: checkpoint: vb%d carries unknown message %d", cv.ID, cv.Msg)
 	}
-	if cv.PayloadLen != len(n.payloads[cv.Msg-1]) {
-		return nil, fmt.Errorf("core: checkpoint: vb%d carries %d payload words of message %d's %d", cv.ID, cv.PayloadLen, cv.Msg, len(n.payloads[cv.Msg-1]))
+	// An undelivered bus's message is unfinished, so the window holds it;
+	// a delivered one's may already have been retired.
+	if cv.Delivered == 0 {
+		r := n.record(cv.Msg)
+		if r == nil {
+			return nil, fmt.Errorf("core: checkpoint: undelivered vb%d carries message %d outside the live window", cv.ID, cv.Msg)
+		}
+		if cv.PayloadLen != r.PayloadLen {
+			return nil, fmt.Errorf("core: checkpoint: vb%d carries %d payload words of message %d's %d", cv.ID, cv.PayloadLen, cv.Msg, r.PayloadLen)
+		}
 	}
 	if len(cv.Levels) == 0 || len(cv.Levels) >= cfg.Nodes {
 		return nil, fmt.Errorf("core: checkpoint: vb%d spans %d hops on a %d-node ring", cv.ID, len(cv.Levels), cfg.Nodes)
@@ -1123,13 +1179,14 @@ func restoreVB(n *Network, cv *ckptVB) (*VirtualBus, error) {
 }
 
 // restoreRequest rebuilds one insertion request, re-aliasing its message
-// payload from the canonical store.
+// payload from its record's buffer.
 func restoreRequest(n *Network, cr *ckptRequest) (*request, error) {
 	if !n.onRing(cr.Node) {
 		return nil, fmt.Errorf("core: checkpoint: request for message %d waits at node %d outside the ring", cr.Msg, cr.Node)
 	}
-	if cr.Msg < 1 || int(cr.Msg) > len(n.payloads) {
-		return nil, fmt.Errorf("core: checkpoint: queued request for unknown message %d", cr.Msg)
+	rec := n.record(cr.Msg)
+	if rec == nil {
+		return nil, fmt.Errorf("core: checkpoint: queued request for message %d outside the live window", cr.Msg)
 	}
 	if len(cr.Dsts) == 0 {
 		return nil, fmt.Errorf("core: checkpoint: queued request for message %d has no destinations", cr.Msg)
@@ -1137,10 +1194,9 @@ func restoreRequest(n *Network, cr *ckptRequest) (*request, error) {
 	if !n.allOnRing(cr.Dsts) {
 		return nil, fmt.Errorf("core: checkpoint: queued request for message %d targets a node outside the ring", cr.Msg)
 	}
-	rec := n.records[cr.Msg-1]
 	req := n.allocReq()
 	*req = request{
-		msg:      flit.Message{ID: cr.Msg, Src: rec.Src, Dst: rec.Dst, Payload: n.payloads[cr.Msg-1]},
+		msg:      flit.Message{ID: cr.Msg, Src: rec.Src, Dst: rec.Dst, Payload: n.payloadOf(cr.Msg)},
 		enqueued: cr.Enqueued,
 		attempts: cr.Attempts,
 	}

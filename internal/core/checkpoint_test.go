@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"rmb/internal/flit"
 	"rmb/internal/sim"
 )
 
@@ -229,9 +230,15 @@ func TestCheckpointObserverIndependence(t *testing.T) {
 
 // TestCheckpointCorruption exercises the reader's rejection paths: every
 // kind of damage must yield an error, never a network built from garbage
-// (and never a panic).
+// (and never a panic). The version 3 cases tamper with the live message
+// window: its bounds, its bottom record, and the messages that queued
+// requests and buses point into it.
 func TestCheckpointCorruption(t *testing.T) {
 	data := checkpointAt(t, checkpointZooConfig(1), 7, 300)
+	if st := decodeForTest(t, data); len(st.Records) < 2 || len(st.Pending)+len(st.Retries) == 0 || st.RecBase == 1 {
+		t.Fatalf("zoo checkpoint lacks a moved window with queued requests: base %d, %d records, %d queued, %d retrying",
+			st.RecBase, len(st.Records), len(st.Pending), len(st.Retries))
+	}
 
 	// The body opens with the length-prefixed config section; the clock is
 	// the varint right after it.
@@ -260,14 +267,14 @@ func TestCheckpointCorruption(t *testing.T) {
 		{"not json", []byte("once upon a time"), "bad magic", false},
 		{"bit flip", withByte(data, len(data)/2, data[len(data)/2]^0x10), "checksum", false},
 		{"bad magic", withByte(data, 0, 'R'), "bad magic", false},
-		{"future version", withByte(data, len(checkpointMagic), CheckpointVersion+1), "version 3", true},
+		{"future version", withByte(data, len(checkpointMagic), CheckpointVersion+1), fmt.Sprintf("version %d", CheckpointVersion+1), true},
 		{"v1 json", []byte(`{"magic":"rmb-checkpoint","version":1,"sum":1,"state":{}}`), "version 1", true},
 		{"stale checksum", withByte(data, ckptHeaderLen-1, data[ckptHeaderLen-1]+1), "checksum", false},
 		{"oversized length prefix", oversized, "exceeds", false},
 		{"non-minimal varint", padded, "non-minimal", false},
 		{"trailing bytes", resum(append(append([]byte(nil), data...), 0)), "trailing", false},
 		{"record count mismatch", reframe(t, data, func(st *ckptState) { st.NextMsg = 1 }), "records", false},
-		{"wrong ring size", reframe(t, data, func(st *ckptState) { st.Cfg.Nodes = 8 }), "INC entries", false},
+		{"wrong ring size", reframe(t, data, func(st *ckptState) { st.Cfg.Nodes = 24 }), "INC entries", false},
 		{"clock rewound", reframe(t, data, func(st *ckptState) { st.Now = -5 }), "negative clock", false},
 		{"config not effective", reframe(t, data, func(st *ckptState) { st.Cfg.RetryBase = 0 }), "effective form", false},
 		{"faults out of order", reframe(t, data, func(st *ckptState) {
@@ -276,6 +283,35 @@ func TestCheckpointCorruption(t *testing.T) {
 			}
 			st.Faults[0].At = st.Faults[1].At + 1
 		}), "firing order", false},
+		{"v2 checkpoint", readCorpusSeed(t, filepath.Join("testdata", "fuzz", "FuzzUnmarshalCheckpoint", "v2-lockstep-chaos")), "version 2", true},
+		{"window base past next ID", reframe(t, data, func(st *ckptState) {
+			st.RecBase, st.Records, st.Payloads = st.NextMsg+2, nil, nil
+		}), "message window", false},
+		{"window base zero", reframe(t, data, func(st *ckptState) {
+			// A window of the right length that starts at the invalid ID 0.
+			st.RecBase = 0
+			st.Records = make([]MsgRecord, st.NextMsg+1)
+			st.Payloads = make([][]uint64, st.NextMsg+1)
+			for i := range st.Records {
+				st.Records[i] = MsgRecord{ID: flit.MessageID(i), Src: 0, Dst: 1, Distance: 1, Done: true}
+			}
+		}), "message window", false},
+		{"finished window base", reframe(t, data, func(st *ckptState) {
+			st.Records[0].Done, st.Payloads[0] = true, nil
+		}), "live window", false},
+		{"request for retired message", reframe(t, data, func(st *ckptState) {
+			if len(st.Pending) > 0 {
+				st.Pending[0].Msg = st.RecBase - 1
+			} else {
+				st.Retries[0].Msg = st.RecBase - 1
+			}
+		}), "live window", false},
+		{"bus message beyond next ID", reframe(t, data, func(st *ckptState) {
+			if len(st.Active) == 0 {
+				t.Fatal("zoo checkpoint has no live buses")
+			}
+			st.Active[0].Msg = st.NextMsg + 1
+		}), "unknown message", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -304,6 +340,31 @@ func TestCheckpointCorruption(t *testing.T) {
 			}
 		}
 	})
+}
+
+// decodeForTest decodes a checkpoint's state without restoring it.
+func decodeForTest(t *testing.T, data []byte) *ckptState {
+	t.Helper()
+	st, err := decodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// readCorpusSeed reads one committed fuzz seed's bytes.
+func readCorpusSeed(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create the corpus)", err)
+	}
+	lit := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
+	data, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: not a []byte corpus entry: %v", path, err)
+	}
+	return []byte(data)
 }
 
 // checkpointAt runs a zoo workload for ticks ticks and checkpoints it.
@@ -445,8 +506,10 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 var updateCorpus = flag.Bool("update", false, "rewrite the committed fuzz seed corpus")
 
 // TestCheckpointFuzzCorpus keeps FuzzUnmarshalCheckpoint's committed seed
-// corpus made of real checkpoints in the current format: every file must
-// restore. Run with -update to regenerate the files after a format change.
+// corpus made of real checkpoints in the current format: every generated
+// file must restore. Run with -update to regenerate them after a format
+// change. The v2- seeds are real checkpoints of an older format, kept as
+// inputs the reader must refuse as unsupported.
 func TestCheckpointFuzzCorpus(t *testing.T) {
 	seeds := map[string]func() []byte{
 		// Lockstep, event scheduler, chaos faults pending and applied.
@@ -467,19 +530,19 @@ func TestCheckpointFuzzCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (run with -update to create the corpus)", err)
-		}
-		lit := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
-		data, err := strconv.Unquote(lit)
-		if err != nil {
-			t.Fatalf("%s: not a []byte corpus entry: %v", path, err)
-		}
-		n, err := UnmarshalCheckpoint([]byte(data))
+		n, err := UnmarshalCheckpoint(readCorpusSeed(t, path))
 		if err != nil {
 			t.Fatalf("%s no longer restores (run with -update after a format change): %v", path, err)
 		}
 		n.Close()
+	}
+	old, err := filepath.Glob(filepath.Join(dir, "v2-*"))
+	if err != nil || len(old) == 0 {
+		t.Fatalf("no v2 seed in %s: %v", dir, err)
+	}
+	for _, path := range old {
+		if _, err := UnmarshalCheckpoint(readCorpusSeed(t, path)); !errors.Is(err, ErrUnsupportedVersion) {
+			t.Fatalf("%s: got %v, want ErrUnsupportedVersion", path, err)
+		}
 	}
 }

@@ -27,12 +27,12 @@ func TestWholeBusSinksOneLevelPerTwoCycles(t *testing.T) {
 	// The planted bus must have the lifecycle record a real Send would
 	// have created, or the message-conservation invariant (rightly)
 	// reports an in-flight bus carrying an unknown message.
-	n.nextMsg = 1
-	n.records = append(n.records, MsgRecord{
+	rec, _ := n.admit(nil)
+	*rec = MsgRecord{
 		ID: vb.Msg, Src: vb.Src, Dst: vb.Dst,
 		Distance:   n.Distance(vb.Src, vb.Dst),
 		PayloadLen: vb.PayloadLen,
-	})
+	}
 	for j, l := range vb.Levels {
 		n.claimSeg((1+j)%10, l, vb)
 	}
@@ -63,9 +63,9 @@ func TestWholeBusSinksOneLevelPerTwoCycles(t *testing.T) {
 }
 
 // deliveredSet canonicalizes delivered messages.
-func deliveredSet(n *Network) []string {
+func deliveredSet(h *History) []string {
 	var out []string
-	for _, m := range n.Delivered() {
+	for _, m := range h.Delivered() {
 		out = append(out, fmt.Sprintf("%d->%d:%d", m.Src, m.Dst, len(m.Payload)))
 	}
 	sort.Strings(out)
@@ -80,7 +80,7 @@ func TestModesDeliverIdenticalSets(t *testing.T) {
 	rng := sim.NewRNG(31)
 	p := workload.RandomPermutation(N, rng)
 	run := func(mode SyncMode, rule HeadRule) []string {
-		n := mustNetwork(t, Config{Nodes: N, Buses: 3, Seed: 5, Mode: mode, HeadRule: rule, Audit: true})
+		n, hist := mustHistory(t, Config{Nodes: N, Buses: 3, Seed: 5, Mode: mode, HeadRule: rule, Audit: true})
 		for _, d := range p.Demands {
 			if _, err := n.Send(NodeID(d.Src), NodeID(d.Dst), make([]uint64, d.Src+1)); err != nil {
 				t.Fatal(err)
@@ -89,7 +89,7 @@ func TestModesDeliverIdenticalSets(t *testing.T) {
 		if err := n.Drain(2_000_000); err != nil {
 			t.Fatalf("mode=%v rule=%v: %v", mode, rule, err)
 		}
-		return deliveredSet(n)
+		return deliveredSet(hist)
 	}
 	ref := run(Lockstep, HeadFlexible)
 	for _, mode := range []SyncMode{Lockstep, Async} {
@@ -111,7 +111,7 @@ func TestModesDeliverIdenticalSets(t *testing.T) {
 // statistics, tick for tick.
 func TestDeterminism(t *testing.T) {
 	run := func() (Stats, []string) {
-		n := mustNetwork(t, Config{Nodes: 14, Buses: 3, Seed: 99, Mode: Async})
+		n, hist := mustHistory(t, Config{Nodes: 14, Buses: 3, Seed: 99, Mode: Async})
 		rng := sim.NewRNG(7)
 		p := workload.RandomPermutation(14, rng)
 		for _, d := range p.Demands {
@@ -122,7 +122,7 @@ func TestDeterminism(t *testing.T) {
 		if err := n.Drain(2_000_000); err != nil {
 			t.Fatal(err)
 		}
-		return n.Stats(), deliveredSet(n)
+		return n.Stats(), deliveredSet(hist)
 	}
 	s1, d1 := run()
 	s2, d2 := run()

@@ -14,7 +14,7 @@ import (
 func TestOddRingSizes(t *testing.T) {
 	for _, nodes := range []int{3, 5, 7, 9, 13} {
 		for _, mode := range []SyncMode{Lockstep, Async} {
-			n := mustNetwork(t, Config{Nodes: nodes, Buses: 3, Mode: mode, Seed: uint64(nodes), Audit: true})
+			n, hist := mustHistory(t, Config{Nodes: nodes, Buses: 3, Mode: mode, Seed: uint64(nodes), Audit: true})
 			want := 0
 			for d := 1; d < nodes; d++ {
 				if _, err := n.Send(0, NodeID(d), []uint64{uint64(d)}); err != nil {
@@ -25,7 +25,7 @@ func TestOddRingSizes(t *testing.T) {
 			if err := n.Drain(1_000_000); err != nil {
 				t.Fatalf("N=%d mode=%v: %v", nodes, mode, err)
 			}
-			if got := len(n.Delivered()); got != want {
+			if got := len(hist.Delivered()); got != want {
 				t.Errorf("N=%d mode=%v: delivered %d/%d", nodes, mode, got, want)
 			}
 		}
@@ -91,7 +91,7 @@ func TestSingleBusDegenerate(t *testing.T) {
 
 // TestTwoNodeRing: the smallest legal machine.
 func TestTwoNodeRing(t *testing.T) {
-	n := mustNetwork(t, Config{Nodes: 2, Buses: 2, Seed: 1, Audit: true})
+	n, hist := mustHistory(t, Config{Nodes: 2, Buses: 2, Seed: 1, Audit: true})
 	if _, err := n.Send(0, 1, []uint64{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestTwoNodeRing(t *testing.T) {
 	if err := n.Drain(10_000); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(n.Delivered()); got != 2 {
+	if got := len(hist.Delivered()); got != 2 {
 		t.Errorf("delivered %d", got)
 	}
 }
@@ -124,7 +124,7 @@ func TestZeroJitterAsync(t *testing.T) {
 // TestLongPayloadSingleCircuit: a payload far longer than the ring works
 // and the delivery latency matches the cost model.
 func TestLongPayloadSingleCircuit(t *testing.T) {
-	n := mustNetwork(t, Config{Nodes: 8, Buses: 2, Seed: 1})
+	n, hist := mustHistory(t, Config{Nodes: 8, Buses: 2, Seed: 1})
 	const payload = 5000
 	id, err := n.Send(0, 4, make([]uint64, payload))
 	if err != nil {
@@ -133,7 +133,7 @@ func TestLongPayloadSingleCircuit(t *testing.T) {
 	if err := n.Drain(100_000); err != nil {
 		t.Fatal(err)
 	}
-	rec, _ := n.Record(id)
+	rec, _ := hist.Record(id)
 	want := sim.Tick(3*4 + payload - 1) // the 3d+p-1 cost model
 	if rec.Delivered-rec.FirstInserted != want {
 		t.Errorf("latency %d, want %d", rec.Delivered-rec.FirstInserted, want)

@@ -12,13 +12,14 @@ func ExampleNetwork_Send() {
 	if err != nil {
 		panic(err)
 	}
+	hist := core.NewHistory(n) // keeps delivered messages once the ring forgets them
 	if _, err := n.Send(0, 5, []uint64{42}); err != nil {
 		panic(err)
 	}
 	if err := n.Drain(10_000); err != nil {
 		panic(err)
 	}
-	m := n.Delivered()[0]
+	m := hist.Delivered()[0]
 	fmt.Printf("%d -> %d carried %v\n", m.Src, m.Dst, m.Payload)
 	// Output:
 	// 0 -> 5 carried [42]
@@ -52,13 +53,14 @@ func ExampleNetwork_Broadcast() {
 	if err != nil {
 		panic(err)
 	}
+	hist := core.NewHistory(n)
 	if _, err := n.Broadcast(0, []uint64{7}); err != nil {
 		panic(err)
 	}
 	if err := n.Drain(10_000); err != nil {
 		panic(err)
 	}
-	fmt.Println("copies:", len(n.Delivered()))
+	fmt.Println("copies:", len(hist.Delivered()))
 	// Output:
 	// copies: 5
 }

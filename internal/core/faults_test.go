@@ -96,6 +96,7 @@ func TestSegmentFaultTeardownAndRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hist := NewHistory(n)
 	if _, err := n.Send(0, 5, []uint64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestSegmentFaultTeardownAndRetry(t *testing.T) {
 	if st.Retries == 0 {
 		t.Fatal("the torn-down message never re-entered the retry path")
 	}
-	rec, _ := n.Record(1)
+	rec, _ := hist.Record(1)
 	if !rec.Done || rec.Attempts < 2 {
 		t.Fatalf("record = %+v, want Done with at least 2 attempts", rec)
 	}

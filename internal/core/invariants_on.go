@@ -49,14 +49,14 @@ func (n *Network) checkTickInvariants(now sim.Tick) {
 func (n *Network) preResetAudit() error { return n.Audit() }
 
 // checkRetryBounded asserts the retry wheel cannot grow without bound or
-// stall: it never holds more entries than messages exist, and after this
-// tick's RunDue every remaining deadline is strictly in the future (a
-// due-but-unfired retry would be a lost wakeup — the Theorem 1 progress
-// condition hinges on backoffs actually firing).
+// stall: it never holds more entries than there are unfinished messages,
+// and after this tick's RunDue every remaining deadline is strictly in
+// the future (a due-but-unfired retry would be a lost wakeup — the
+// Theorem 1 progress condition hinges on backoffs actually firing).
 func (n *Network) checkRetryBounded(now sim.Tick) {
-	if l := n.retries.Len(); l > len(n.records) {
+	if l, live := n.retries.Len(), len(n.pool)-len(n.poolFree); l > live {
 		panic(invariant.Violatef("retry-bounded", int64(now),
-			"retry wheel holds %d entries but only %d messages were ever submitted", l, len(n.records)))
+			"retry wheel holds %d entries but only %d messages are unfinished", l, live))
 	}
 	if next, ok := n.retries.NextAt(); ok && next <= now {
 		panic(invariant.Violatef("retry-bounded", int64(now),

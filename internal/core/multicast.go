@@ -46,23 +46,20 @@ func (n *Network) SendMulticast(src NodeID, dsts []NodeID, payload []uint64) (fl
 	})
 	final := ordered[len(ordered)-1]
 
-	n.nextMsg++
-	id := n.nextMsg
-	m := flit.Message{ID: id, Src: src, Dst: final, Payload: n.carvePayload(payload)}
-	req := n.allocReq()
-	*req = request{msg: m, enqueued: n.clock.Now(), dsts: ordered}
-	n.queuePush(src, req)
-	n.records = append(n.records, MsgRecord{
-		ID: id, Src: src, Dst: final,
+	rec, words := n.admit(payload)
+	*rec = MsgRecord{
+		ID: n.nextMsg, Src: src, Dst: final,
 		Distance:   n.Distance(src, final),
 		PayloadLen: len(payload),
 		Fanout:     len(ordered),
 		Enqueued:   n.clock.Now(),
-	})
-	n.payloads = append(n.payloads, m.Payload)
+	}
+	req := n.allocReq()
+	*req = request{msg: flit.Message{ID: rec.ID, Src: src, Dst: final, Payload: words}, enqueued: n.clock.Now(), dsts: ordered}
+	n.queuePush(src, req)
 	n.stats.MessagesSubmitted++
-	n.rec.Submit(n.clock.Now(), n.records[len(n.records)-1])
-	return id, nil
+	n.rec.Submit(n.clock.Now(), *rec)
+	return rec.ID, nil
 }
 
 // Broadcast multicasts to every other node on the ring: the circuit

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 )
 
 func TestMulticastDeliversToEveryTap(t *testing.T) {
-	n := mustNetwork(t, Config{Nodes: 12, Buses: 3, Seed: 1, Audit: true})
+	n, hist := mustHistory(t, Config{Nodes: 12, Buses: 3, Seed: 1, Audit: true})
 	payload := []uint64{7, 8}
 	id, err := n.SendMulticast(0, []NodeID{3, 6, 9}, payload)
 	if err != nil {
@@ -14,7 +15,7 @@ func TestMulticastDeliversToEveryTap(t *testing.T) {
 	if err := n.Drain(100_000); err != nil {
 		t.Fatalf("Drain: %v (%v)", err, n.Stats())
 	}
-	got := n.Delivered()
+	got := hist.Delivered()
 	if len(got) != 3 {
 		t.Fatalf("delivered %d copies, want 3", len(got))
 	}
@@ -34,7 +35,7 @@ func TestMulticastDeliversToEveryTap(t *testing.T) {
 	if n.Stats().Delivered != 3 {
 		t.Errorf("stats delivered %d", n.Stats().Delivered)
 	}
-	rec, _ := n.Record(id)
+	rec, _ := hist.Record(id)
 	if rec.Fanout != 3 || rec.Dst != 9 {
 		t.Errorf("record %+v", rec)
 	}
@@ -42,18 +43,18 @@ func TestMulticastDeliversToEveryTap(t *testing.T) {
 
 func TestMulticastUnsortedDestinations(t *testing.T) {
 	// Destinations given out of order must be tapped in clockwise order.
-	n := mustNetwork(t, Config{Nodes: 10, Buses: 2, Seed: 2, Audit: true})
+	n, hist := mustHistory(t, Config{Nodes: 10, Buses: 2, Seed: 2, Audit: true})
 	if _, err := n.SendMulticast(4, []NodeID{2, 8, 6}, []uint64{1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Drain(100_000); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(n.Delivered()); got != 3 {
+	if got := len(hist.Delivered()); got != 3 {
 		t.Fatalf("delivered %d", got)
 	}
 	// Final destination is the farthest clockwise: distance(4->2)=8.
-	rec := n.Records()
+	rec := hist.Records()
 	for _, r := range rec {
 		if r.Dst != 2 || r.Distance != 8 {
 			t.Errorf("record %+v, want final dst 2 at distance 8", r)
@@ -82,14 +83,14 @@ func TestMulticastValidation(t *testing.T) {
 
 func TestBroadcastReachesAllNodes(t *testing.T) {
 	const N = 8
-	n := mustNetwork(t, Config{Nodes: N, Buses: 2, Seed: 3, Audit: true})
+	n, hist := mustHistory(t, Config{Nodes: N, Buses: 2, Seed: 3, Audit: true})
 	if _, err := n.Broadcast(2, []uint64{42}); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Drain(100_000); err != nil {
 		t.Fatal(err)
 	}
-	got := n.Delivered()
+	got := hist.Delivered()
 	if len(got) != N-1 {
 		t.Fatalf("broadcast delivered %d copies, want %d", len(got), N-1)
 	}
@@ -140,7 +141,7 @@ func TestMulticastVersusRepeatedUnicast(t *testing.T) {
 	const N, f, payload = 16, 4, 32
 	dsts := []NodeID{4, 8, 10, 14}
 
-	mc := mustNetwork(t, Config{Nodes: N, Buses: 3, Seed: 6, Audit: true})
+	mc, mcHist := mustHistory(t, Config{Nodes: N, Buses: 3, Seed: 6, Audit: true})
 	if _, err := mc.SendMulticast(0, dsts, make([]uint64, payload)); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestMulticastVersusRepeatedUnicast(t *testing.T) {
 	}
 	mcTicks := mc.Now()
 
-	uc := mustNetwork(t, Config{Nodes: N, Buses: 3, Seed: 6, Audit: true})
+	uc, ucHist := mustHistory(t, Config{Nodes: N, Buses: 3, Seed: 6, Audit: true})
 	for _, d := range dsts {
 		if _, err := uc.Send(0, d, make([]uint64, payload)); err != nil {
 			t.Fatal(err)
@@ -163,10 +164,10 @@ func TestMulticastVersusRepeatedUnicast(t *testing.T) {
 	if mcTicks >= ucTicks {
 		t.Errorf("multicast %d ticks not below repeated unicast %d", mcTicks, ucTicks)
 	}
-	if got := len(mc.Delivered()); got != f {
+	if got := len(mcHist.Delivered()); got != f {
 		t.Errorf("multicast delivered %d", got)
 	}
-	if got := len(uc.Delivered()); got != f {
+	if got := len(ucHist.Delivered()); got != f {
 		t.Errorf("unicasts delivered %d", got)
 	}
 }
@@ -186,5 +187,57 @@ func TestMulticastTapCompactionInteraction(t *testing.T) {
 	}
 	if err := n.Drain(200_000); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMulticastRecycledAfterEveryTap: a multicast's record and payload
+// stay in the live window, unfinished and intact, until the final flit
+// has reached every tap; the delivery hook then sees it exactly once
+// with all of its taps, and only after that is its slot retired.
+func TestMulticastRecycledAfterEveryTap(t *testing.T) {
+	n := mustNetwork(t, Config{Nodes: 12, Buses: 3, Seed: 1, Audit: true})
+	var calls int
+	var taps []NodeID
+	var words []uint64
+	id, err := n.SendMulticast(0, []NodeID{9, 3, 6}, []uint64{7, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.OnDeliver(func(rec MsgRecord, payload []uint64, ts []NodeID) {
+		calls++
+		if rec.ID != id || !rec.Done || rec.Fanout != 3 {
+			t.Errorf("hook saw record %+v", rec)
+		}
+		// The slot is not retired while the hooks run.
+		if r := n.record(id); r == nil || !r.Done {
+			t.Errorf("window record %+v during the hook", r)
+		}
+		taps = append(taps, ts...)
+		words = append(words, payload...)
+	})
+	for calls == 0 {
+		r, ok := n.Record(id)
+		if !ok || r.Done {
+			t.Fatalf("at tick %d, before every tap delivered: record %+v held=%v", n.Now(), r, ok)
+		}
+		if w := n.payloadOf(id); len(w) != 2 || w[0] != 7 || w[1] != 8 {
+			t.Fatalf("at tick %d the payload slot holds %v", n.Now(), w)
+		}
+		if n.Now() > 10_000 {
+			t.Fatal("multicast never delivered")
+		}
+		n.Step()
+	}
+	if calls != 1 || !reflect.DeepEqual(taps, []NodeID{3, 6, 9}) || !reflect.DeepEqual(words, []uint64{7, 8}) {
+		t.Fatalf("hook ran %d times with taps %v and payload %v, want once with [3 6 9] and [7 8]", calls, taps, words)
+	}
+	if r := n.record(id); r != nil {
+		t.Fatalf("delivered multicast still held: %+v", *r)
+	}
+	if err := n.Drain(10_000); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("hook ran %d times", calls)
 	}
 }

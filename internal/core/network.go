@@ -54,12 +54,23 @@ type Network struct {
 	nextMsg flit.MessageID
 
 	stats Stats
-	// records[i] is the lifecycle record of message ID i+1 (IDs are dense
-	// from 1) and payloads[i] its payload — slices, not maps, so Send is
-	// one append and record lookups are an index.
-	records   []MsgRecord
-	payloads  [][]uint64
-	delivered []flit.Message
+	// The live message window. IDs are dense from 1 and monotonic; the
+	// window spans [recBase, nextMsg], where recBase is the oldest
+	// unfinished message (nextMsg+1 when none is), and the network holds
+	// records and payloads for its unfinished messages only. A finished
+	// message is handed to the delivery hooks and forgotten, so what the
+	// network keeps is bounded by the live ring, not the length of the
+	// run. recSlot maps window IDs to pool entries (see window.go); pool
+	// and pays hold the unfinished records and payloads, recycled through
+	// poolFree; payFree recycles payload buffers by size class.
+	recBase   flit.MessageID
+	recHead   int
+	recSlot   []int32
+	pool      []MsgRecord
+	pays      [][]uint64
+	poolFree  []int32
+	payFree   [maxPayClass + 1][][]uint64
+	onDeliver []DeliveryHook
 
 	rec Recorder
 	// recOn is false exactly while rec is the no-op recorder; the
@@ -134,11 +145,11 @@ type Network struct {
 
 	// reqFree / reqArena recycle request structs (unicast only — a
 	// multicast request's dsts slice outlives insertion by aliasing the
-	// bus's Dsts) and payloadArena carves payload copies, so Send is
-	// allocation-free on the steady path.
+	// bus's Dsts) and payloadArena carves payload buffers the free lists
+	// cannot supply, so Send is allocation-free on the steady path.
 	reqFree      []*request
 	reqArena     []request
-	payloadArena []uint64
+	payloadArena wordArena
 	// sh is the sharded scheduler's runtime (arc-worker pool, per-arc
 	// scratch); nil unless Config.Scheduler == SchedulerSharded resolved
 	// to 2+ arcs (see initShard in sharded.go). When nil, Step takes the
@@ -209,15 +220,14 @@ func NewNetwork(cfg Config) (*Network, error) {
 		// workloads submit at least O(Nodes) messages, and paying the
 		// append-doubling memmoves per network shows up in every benchmark
 		// that constructs one per iteration.
-		records:   make([]MsgRecord, 0, cfg.Nodes),
-		payloads:  make([][]uint64, 0, cfg.Nodes),
-		active:    make([]*VirtualBus, 0, cfg.Nodes),
-		wheel:     make([]wakeEntry, 0, cfg.Nodes),
-		delivered: make([]flit.Message, 0, cfg.Nodes),
-		vbFree:    make([]*VirtualBus, 0, cfg.Nodes),
-		reqFree:   make([]*request, 0, cfg.Nodes),
-		planBuf:   make([]plannedMove, 0, cfg.Nodes),
+		recBase: 1,
+		active:  make([]*VirtualBus, 0, cfg.Nodes),
+		wheel:   make([]wakeEntry, 0, cfg.Nodes),
+		vbFree:  make([]*VirtualBus, 0, cfg.Nodes),
+		reqFree: make([]*request, 0, cfg.Nodes),
+		planBuf: make([]plannedMove, 0, cfg.Nodes),
 	}
+	n.growWindow(cfg.Nodes)
 	n.naive = cfg.Scheduler == SchedulerNaive
 	if cfg.Scheduler == SchedulerSharded {
 		n.initShard()
@@ -300,33 +310,21 @@ func (n *Network) Send(src, dst NodeID, payload []uint64) (flit.MessageID, error
 	if src == dst {
 		return 0, fmt.Errorf("core: node %d cannot send to itself through the ring", src)
 	}
-	n.nextMsg++
-	id := n.nextMsg
-	m := flit.Message{ID: id, Src: src, Dst: dst, Payload: n.carvePayload(payload)}
-	req := n.allocReq()
-	*req = request{msg: m, enqueued: n.clock.Now()}
-	req.dstBuf[0] = dst
-	req.dsts = req.dstBuf[:1]
-	n.queuePush(src, req)
-	n.records = append(n.records, MsgRecord{
-		ID: id, Src: src, Dst: dst,
+	rec, words := n.admit(payload)
+	*rec = MsgRecord{
+		ID: n.nextMsg, Src: src, Dst: dst,
 		Distance:   n.Distance(src, dst),
 		PayloadLen: len(payload),
 		Enqueued:   n.clock.Now(),
-	})
-	n.payloads = append(n.payloads, m.Payload)
-	n.stats.MessagesSubmitted++
-	n.rec.Submit(n.clock.Now(), n.records[len(n.records)-1])
-	return id, nil
-}
-
-// record returns the mutable lifecycle record of one message, or nil for
-// an unknown ID. IDs are dense from 1, so this is an index.
-func (n *Network) record(id flit.MessageID) *MsgRecord {
-	if id < 1 || id > flit.MessageID(len(n.records)) {
-		return nil
 	}
-	return &n.records[id-1]
+	req := n.allocReq()
+	*req = request{msg: flit.Message{ID: rec.ID, Src: src, Dst: dst, Payload: words}, enqueued: n.clock.Now()}
+	req.dstBuf[0] = dst
+	req.dsts = req.dstBuf[:1]
+	n.queuePush(src, req)
+	n.stats.MessagesSubmitted++
+	n.rec.Submit(n.clock.Now(), *rec)
+	return rec.ID, nil
 }
 
 // Idle reports whether nothing remains in flight or queued.
@@ -505,43 +503,15 @@ func (n *Network) Stats() Stats { return n.stats }
 // (internal/invariant), in which case it equals the Step count.
 func (n *Network) InvariantChecks() int64 { return n.invariantChecks }
 
-// Records returns per-message lifecycle records keyed by message ID.
-// The returned map is a copy built on each call; prefer EachRecord or
-// RecordCount on hot paths.
-func (n *Network) Records() map[flit.MessageID]MsgRecord {
-	out := make(map[flit.MessageID]MsgRecord, len(n.records))
-	for i := range n.records {
-		out[n.records[i].ID] = n.records[i]
-	}
-	return out
-}
-
-// RecordCount reports the number of per-message records without copying
-// (one record per Send/SendMulticast call, retries included).
-func (n *Network) RecordCount() int { return len(n.records) }
-
-// EachRecord visits every message record in ascending message-ID order
-// without building the copy Records returns. Message IDs are assigned
-// densely from 1, so the walk is deterministic and allocation-free; the
-// visited values are snapshots.
-func (n *Network) EachRecord(fn func(MsgRecord)) {
-	for i := range n.records {
-		fn(n.records[i])
-	}
-}
-
-// Record returns one message's lifecycle record.
+// Record returns an unfinished message's lifecycle record. The network
+// forgets a message when it finishes; a History attached before then
+// keeps the final record.
 func (n *Network) Record(id flit.MessageID) (MsgRecord, bool) {
 	r := n.record(id)
-	if r == nil {
+	if r == nil || r.Done {
 		return MsgRecord{}, false
 	}
 	return *r, true
-}
-
-// Delivered returns the messages delivered so far, in delivery order.
-func (n *Network) Delivered() []flit.Message {
-	return append([]flit.Message(nil), n.delivered...)
 }
 
 // ActiveVirtualBuses returns the live virtual buses in ID order. The
@@ -653,27 +623,6 @@ func (n *Network) carveTicks(c int) []sim.Tick {
 	}
 	s := n.tickArena[:0:c]
 	n.tickArena = n.tickArena[c:]
-	return s
-}
-
-// carvePayload copies payload into arena-backed storage so Send stays
-// allocation-free on the steady path. Empty payloads share nil.
-func (n *Network) carvePayload(payload []uint64) []uint64 {
-	c := len(payload)
-	if c == 0 {
-		return nil
-	}
-	if c > 4096 {
-		// Oversized payloads fall back to a dedicated copy.
-		return append([]uint64(nil), payload...)
-	}
-	if len(n.payloadArena) < c {
-		// Amortized arena refill: one 16384-word chunk serves many copies.
-		n.payloadArena = make([]uint64, 16384)
-	}
-	s := n.payloadArena[:c:c]
-	n.payloadArena = n.payloadArena[c:]
-	copy(s, payload)
 	return s
 }
 

@@ -18,12 +18,12 @@ func TestDistanceWraps(t *testing.T) {
 }
 
 func TestRecordsAreSnapshots(t *testing.T) {
-	n := mustNetwork(t, Config{Nodes: 6, Buses: 2, Seed: 1})
+	n, hist := mustHistory(t, Config{Nodes: 6, Buses: 2, Seed: 1})
 	id, err := n.Send(0, 3, []uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := n.Records()
+	before := hist.Records()
 	if before[id].Done {
 		t.Fatal("record done before any step")
 	}
@@ -34,26 +34,31 @@ func TestRecordsAreSnapshots(t *testing.T) {
 	if before[id].Done {
 		t.Error("Records() exposed live state")
 	}
-	after, ok := n.Record(id)
+	after, ok := hist.Record(id)
 	if !ok || !after.Done {
 		t.Errorf("fresh record %+v ok=%v", after, ok)
 	}
-	if _, ok := n.Record(999); ok {
+	if _, ok := hist.Record(999); ok {
 		t.Error("unknown record found")
+	}
+	// The network itself forgets a finished message; only the history
+	// keeps it.
+	if r, ok := n.Record(id); ok {
+		t.Errorf("network still holds finished record %+v", r)
 	}
 }
 
 func TestDeliveredIsACopy(t *testing.T) {
-	n := mustNetwork(t, Config{Nodes: 6, Buses: 2, Seed: 1})
+	n, hist := mustHistory(t, Config{Nodes: 6, Buses: 2, Seed: 1})
 	if _, err := n.Send(0, 3, []uint64{1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Drain(10_000); err != nil {
 		t.Fatal(err)
 	}
-	got := n.Delivered()
+	got := hist.Delivered()
 	got[0].Src = 99
-	if n.Delivered()[0].Src == 99 {
+	if hist.Delivered()[0].Src == 99 {
 		t.Error("Delivered() exposed internal slice")
 	}
 }

@@ -14,7 +14,7 @@ func mustNetwork(t *testing.T, cfg Config) *Network {
 }
 
 func TestSingleMessageDelivery(t *testing.T) {
-	n := mustNetwork(t, Config{Nodes: 8, Buses: 3, Seed: 1, Audit: true})
+	n, hist := mustHistory(t, Config{Nodes: 8, Buses: 3, Seed: 1, Audit: true})
 	payload := []uint64{10, 20, 30}
 	id, err := n.Send(0, 5, payload)
 	if err != nil {
@@ -23,7 +23,7 @@ func TestSingleMessageDelivery(t *testing.T) {
 	if err := n.Drain(10_000); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	got := n.Delivered()
+	got := hist.Delivered()
 	if len(got) != 1 {
 		t.Fatalf("delivered %d messages, want 1", len(got))
 	}
@@ -39,7 +39,7 @@ func TestSingleMessageDelivery(t *testing.T) {
 			t.Errorf("payload[%d] = %d, want %d", i, m.Payload[i], w)
 		}
 	}
-	rec, ok := n.Record(id)
+	rec, ok := hist.Record(id)
 	if !ok || !rec.Done {
 		t.Fatalf("record missing or not done: %+v ok=%v", rec, ok)
 	}
@@ -55,7 +55,7 @@ func TestDeliveryAllDistancesAndPayloads(t *testing.T) {
 	for _, nodes := range []int{2, 3, 8, 16} {
 		for _, k := range []int{1, 2, 4} {
 			for _, plen := range []int{0, 1, 7} {
-				n := mustNetwork(t, Config{Nodes: nodes, Buses: k, Seed: 7, Audit: true})
+				n, hist := mustHistory(t, Config{Nodes: nodes, Buses: k, Seed: 7, Audit: true})
 				want := 0
 				for d := 1; d < nodes; d++ {
 					payload := make([]uint64, plen)
@@ -70,7 +70,7 @@ func TestDeliveryAllDistancesAndPayloads(t *testing.T) {
 				if err := n.Drain(200_000); err != nil {
 					t.Fatalf("N=%d k=%d plen=%d: Drain: %v (stats %v)", nodes, k, plen, err, n.Stats())
 				}
-				if got := len(n.Delivered()); got != want {
+				if got := len(hist.Delivered()); got != want {
 					t.Errorf("N=%d k=%d plen=%d: delivered %d, want %d", nodes, k, plen, got, want)
 				}
 			}
@@ -103,7 +103,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestAsyncModeDelivery(t *testing.T) {
-	n := mustNetwork(t, Config{Nodes: 10, Buses: 3, Mode: Async, Seed: 42, Audit: true})
+	n, hist := mustHistory(t, Config{Nodes: 10, Buses: 3, Mode: Async, Seed: 42, Audit: true})
 	for d := 1; d < 10; d++ {
 		if _, err := n.Send(0, NodeID(d), []uint64{uint64(d)}); err != nil {
 			t.Fatalf("Send: %v", err)
@@ -112,7 +112,7 @@ func TestAsyncModeDelivery(t *testing.T) {
 	if err := n.Drain(500_000); err != nil {
 		t.Fatalf("Drain: %v (stats %v)", err, n.Stats())
 	}
-	if got := len(n.Delivered()); got != 9 {
+	if got := len(hist.Delivered()); got != 9 {
 		t.Errorf("delivered %d, want 9", got)
 	}
 	if err := n.AuditLemma1(); err != nil {
@@ -122,7 +122,7 @@ func TestAsyncModeDelivery(t *testing.T) {
 
 func TestManySendersContention(t *testing.T) {
 	const N = 16
-	n := mustNetwork(t, Config{Nodes: N, Buses: 2, Seed: 3, Audit: true})
+	n, hist := mustHistory(t, Config{Nodes: N, Buses: 2, Seed: 3, Audit: true})
 	want := 0
 	for s := 0; s < N; s++ {
 		d := (s + N/2) % N
@@ -134,7 +134,7 @@ func TestManySendersContention(t *testing.T) {
 	if err := n.Drain(1_000_000); err != nil {
 		t.Fatalf("Drain: %v (stats %v)", err, n.Stats())
 	}
-	if got := len(n.Delivered()); got != want {
+	if got := len(hist.Delivered()); got != want {
 		t.Errorf("delivered %d, want %d", got, want)
 	}
 	st := n.Stats()
@@ -164,4 +164,11 @@ func TestCompactionSinksIdleCircuit(t *testing.T) {
 			t.Errorf("hop %d still at level %d after compaction, want 0 (levels %v)", j, l, vbs[0].Levels)
 		}
 	}
+}
+
+// mustHistory is mustNetwork with a History attached from the start.
+func mustHistory(t *testing.T, cfg Config) (*Network, *History) {
+	t.Helper()
+	n := mustNetwork(t, cfg)
+	return n, NewHistory(n)
 }

@@ -6,12 +6,12 @@ import "fmt"
 // every expensive long-lived allocation a fresh NewNetwork would rebuild:
 // the occupancy grids and their flat backings, the SoA mirror word
 // arrays, the VirtualBus / request freelists and chunk arenas, the slot
-// and payload carve arenas, and the event-queue backing arrays. The
-// observable state after Reset is bit-identical to NewNetwork(cfg) —
-// same RNG stream position, same construction-time idDelay draws, same
-// timer (At, Seq) assignment — which TestResetMatchesFresh pins by
-// comparing full-state checkpoints, traces and stats across seeds,
-// schedulers and chaos fault plans.
+// carve arenas, the message window and its payload buffers, and the
+// event-queue backing arrays. The observable state after Reset is
+// bit-identical to NewNetwork(cfg) — same RNG stream position, same
+// construction-time idDelay draws, same timer (At, Seq) assignment —
+// which TestResetMatchesFresh pins by comparing full-state checkpoints,
+// traces and stats across seeds, schedulers and chaos fault plans.
 //
 // The geometry (Nodes, Buses) must match the network's current shape:
 // every grid, mirror and arena is sized by it, and the service-layer
@@ -89,14 +89,8 @@ func (n *Network) Reset(cfg Config) error {
 	}
 
 	n.nextVB = 0
-	n.nextMsg = 0
 	n.stats = Stats{}
-	for i := range n.payloads {
-		n.payloads[i] = nil
-	}
-	n.records = n.records[:0]
-	n.payloads = n.payloads[:0]
-	n.delivered = n.delivered[:0]
+	n.resetWindow()
 	n.rec = nopRecorder{}
 	n.recOn = false
 	n.globalCycle = 0

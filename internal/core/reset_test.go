@@ -155,11 +155,11 @@ func TestRestoreCheckpointInPlace(t *testing.T) {
 			}
 			defer n.Close()
 			driveBernoulliTicks(t, n, sim.NewRNG(seed+99), 0, 2*half)
-			backing := &n.records[0]
+			backing := &n.recSlot[0]
 			if err := n.RestoreCheckpoint(mid); err != nil {
 				t.Fatalf("RestoreCheckpoint: %v", err)
 			}
-			if &n.records[0] != backing {
+			if &n.recSlot[0] != backing {
 				t.Fatal("RestoreCheckpoint replaced the network's record storage")
 			}
 			again, err := n.MarshalCheckpoint()

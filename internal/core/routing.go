@@ -215,11 +215,11 @@ func (n *Network) scheduleRetry(now sim.Tick, vb *VirtualBus) {
 	n.scheduleRequeue(now, vb.Src, req)
 }
 
-// rebuiltMessage reconstructs the message a virtual bus carries from the
-// payload store (payloads are kept aside so retries and delivery records
-// can reuse them without copying through the flit pipeline).
+// rebuiltMessage reconstructs the message an undelivered virtual bus
+// carries from its window slot (payloads are kept aside so retries can
+// reuse them without copying through the flit pipeline).
 func (n *Network) rebuiltMessage(vb *VirtualBus) flit.Message {
-	return flit.Message{ID: vb.Msg, Src: vb.Src, Dst: vb.Dst, Payload: n.payloads[vb.Msg-1]}
+	return flit.Message{ID: vb.Msg, Src: vb.Src, Dst: vb.Dst, Payload: n.payloadOf(vb.Msg)}
 }
 
 // beginTransfer runs when the Hack reaches the source: the circuit is
@@ -623,19 +623,15 @@ func (n *Network) deliver(now sim.Tick, vb *VirtualBus) {
 	n.updateArrivals(now+sim.Tick(vb.Span()), vb) // all data preceded the FF
 	n.stats.Delivered += int64(len(vb.claimedTaps))
 	rec := n.record(vb.Msg)
-	if rec != nil {
-		rec.Delivered = now
-		rec.Done = true
-		rec.Attempts = vb.Attempt
-		n.stats.SumDeliverLatency += now - rec.Enqueued
-		n.stats.SumEstablishLatency += vb.Established - rec.Enqueued
-	}
-	base := n.rebuiltMessage(vb)
-	for _, tap := range vb.claimedTaps {
-		m := base
-		m.Dst = tap
-		n.delivered = append(n.delivered, m)
-	}
+	rec.Delivered = now
+	rec.Done = true
+	rec.Attempts = vb.Attempt
+	n.stats.SumDeliverLatency += now - rec.Enqueued
+	n.stats.SumEstablishLatency += vb.Established - rec.Enqueued
+	// Every tap has the message now, so it is finished: the hooks see it
+	// and its record is recycled. The bus itself lives on through the
+	// Fack sweep, with vb.Delivered != 0 marking its message done.
+	n.finish(vb.Msg, vb.claimedTaps)
 	n.releaseTaps(vb)
 	n.setState(vb, VBFackReturning)
 	n.wakeCompaction(vb)

@@ -52,7 +52,7 @@ func TestMaxRecvExtensionAvoidsNacks(t *testing.T) {
 
 func TestMaxSendExtension(t *testing.T) {
 	// With two send ports a node keeps two circuits open at once.
-	n := mustNetwork(t, Config{Nodes: 10, Buses: 4, Seed: 2, MaxSendPerNode: 2, Audit: true})
+	n, hist := mustHistory(t, Config{Nodes: 10, Buses: 4, Seed: 2, MaxSendPerNode: 2, Audit: true})
 	if _, err := n.Send(0, 4, make([]uint64, 200)); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestMaxSendExtension(t *testing.T) {
 	if err := n.Drain(100_000); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if got := len(n.Delivered()); got != 2 {
+	if got := len(hist.Delivered()); got != 2 {
 		t.Errorf("delivered %d, want 2", got)
 	}
 }
@@ -125,7 +125,7 @@ func TestHeadTimeoutRecoversSaturation(t *testing.T) {
 func TestInsertionRequiresFreeTopBus(t *testing.T) {
 	// Pin a foreign circuit onto the top segment of node 0's hop with
 	// compaction disabled; node 0 must not insert until it is freed.
-	n := mustNetwork(t, Config{Nodes: 6, Buses: 2, Seed: 1, DisableCompaction: true})
+	n, hist := mustHistory(t, Config{Nodes: 6, Buses: 2, Seed: 1, DisableCompaction: true})
 	// A long transfer from node 5 crossing node 0's hop occupies the top.
 	if _, err := n.Send(5, 2, make([]uint64, 300)); err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestInsertionRequiresFreeTopBus(t *testing.T) {
 	if err := n.Drain(100_000); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if got := len(n.Delivered()); got != 2 {
+	if got := len(hist.Delivered()); got != 2 {
 		t.Errorf("delivered %d, want 2", got)
 	}
 }
@@ -185,7 +185,7 @@ func TestSoloTimingMatchesCostModel(t *testing.T) {
 	// match the simulator for an uncontended circuit.
 	for _, d := range []int{1, 3, 7} {
 		for _, p := range []int{0, 1, 10} {
-			n := mustNetwork(t, Config{Nodes: 16, Buses: 3, Seed: 1})
+			n, hist := mustHistory(t, Config{Nodes: 16, Buses: 3, Seed: 1})
 			id, err := n.Send(0, NodeID(d), make([]uint64, p))
 			if err != nil {
 				t.Fatal(err)
@@ -193,7 +193,7 @@ func TestSoloTimingMatchesCostModel(t *testing.T) {
 			if err := n.Drain(10_000); err != nil {
 				t.Fatal(err)
 			}
-			rec, _ := n.Record(id)
+			rec, _ := hist.Record(id)
 			want := sim.Tick(3*d + p - 1)
 			if rec.Delivered-rec.FirstInserted != want {
 				t.Errorf("d=%d p=%d: insertion-to-delivery = %d, want %d",
@@ -207,7 +207,7 @@ func TestDackWindowThrottlesThroughput(t *testing.T) {
 	// With a Dack window of 1 the source waits a round trip per flit, so
 	// a long-distance transfer takes much longer than unthrottled.
 	run := func(window int) sim.Tick {
-		n := mustNetwork(t, Config{Nodes: 16, Buses: 2, Seed: 1, DackWindow: window})
+		n, hist := mustHistory(t, Config{Nodes: 16, Buses: 2, Seed: 1, DackWindow: window})
 		id, err := n.Send(0, 8, make([]uint64, 32))
 		if err != nil {
 			t.Fatal(err)
@@ -215,7 +215,7 @@ func TestDackWindowThrottlesThroughput(t *testing.T) {
 		if err := n.Drain(100_000); err != nil {
 			t.Fatal(err)
 		}
-		rec, _ := n.Record(id)
+		rec, _ := hist.Record(id)
 		return rec.Delivered - rec.FirstInserted
 	}
 	unthrottled := run(0)
@@ -227,7 +227,7 @@ func TestDackWindowThrottlesThroughput(t *testing.T) {
 
 func TestHeadRuleVariantsAllDeliver(t *testing.T) {
 	for _, rule := range []HeadRule{HeadFlexible, HeadStraightOnly, HeadStrictTop} {
-		n := mustNetwork(t, Config{Nodes: 10, Buses: 3, Seed: 4, HeadRule: rule, Audit: true})
+		n, hist := mustHistory(t, Config{Nodes: 10, Buses: 3, Seed: 4, HeadRule: rule, Audit: true})
 		for d := 1; d < 10; d++ {
 			if _, err := n.Send(0, NodeID(d), []uint64{uint64(d)}); err != nil {
 				t.Fatal(err)
@@ -236,7 +236,7 @@ func TestHeadRuleVariantsAllDeliver(t *testing.T) {
 		if err := n.Drain(500_000); err != nil {
 			t.Fatalf("rule %v: %v", rule, err)
 		}
-		if got := len(n.Delivered()); got != 9 {
+		if got := len(hist.Delivered()); got != 9 {
 			t.Errorf("rule %v delivered %d, want 9", rule, got)
 		}
 	}
@@ -245,7 +245,7 @@ func TestHeadRuleVariantsAllDeliver(t *testing.T) {
 func TestPendingRequestsDrainFIFO(t *testing.T) {
 	// With one send port, messages queued at the same node go out in
 	// submission order.
-	n := mustNetwork(t, Config{Nodes: 8, Buses: 2, Seed: 1})
+	n, hist := mustHistory(t, Config{Nodes: 8, Buses: 2, Seed: 1})
 	var ids []flit.MessageID
 	for i := 0; i < 4; i++ {
 		id, err := n.Send(0, NodeID(3+i%4), []uint64{uint64(i)})
@@ -257,7 +257,7 @@ func TestPendingRequestsDrainFIFO(t *testing.T) {
 	if err := n.Drain(100_000); err != nil {
 		t.Fatal(err)
 	}
-	recs := n.Records()
+	recs := hist.Records()
 	var prev sim.Tick = -1
 	for _, id := range ids {
 		r := recs[id]

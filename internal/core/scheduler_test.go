@@ -62,6 +62,7 @@ func runPermutationWorkload(t *testing.T, cfg Config, seed uint64) schedulerRunR
 	}
 	rec := &captureRecorder{}
 	n.SetRecorder(rec)
+	hist := NewHistory(n)
 
 	// A random permutation plus payload lengths drawn from the workload
 	// RNG (distinct from the network's protocol RNG).
@@ -99,8 +100,8 @@ func runPermutationWorkload(t *testing.T, cfg Config, seed uint64) schedulerRunR
 	res := schedulerRunResult{
 		now:       n.Now(),
 		stats:     n.Stats(),
-		records:   n.Records(),
-		delivered: n.Delivered(),
+		records:   hist.Records(),
+		delivered: hist.Delivered(),
 		cycle:     n.GlobalCycle(),
 		events:    rec.events,
 		drainErr:  drainErr,
@@ -366,6 +367,7 @@ func TestFastForwardDrainEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			hist := NewHistory(n)
 			// Saturate one column so refusals and retries pile up.
 			for src := 0; src < 5; src++ {
 				if _, err := n.Send(NodeID(src), 5, []uint64{1}); err != nil {
@@ -375,7 +377,7 @@ func TestFastForwardDrainEquivalence(t *testing.T) {
 			if err := n.Drain(1 << 20); err != nil {
 				t.Fatalf("drain: %v", err)
 			}
-			return n.Now(), n.Stats(), n.Records()
+			return n.Now(), n.Stats(), hist.Records()
 		}
 
 		nNow, nStats, nRecs := run(SchedulerNaive)
@@ -389,12 +391,10 @@ func TestFastForwardDrainEquivalence(t *testing.T) {
 	}
 }
 
-// TestEachRecordMatchesRecords pins the iterator to the map copy.
+// TestEachRecordMatchesRecords pins the iterator to the map copy, with
+// messages both finished and still queued.
 func TestEachRecordMatchesRecords(t *testing.T) {
-	n, err := NewNetwork(Config{Nodes: 6, Buses: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, hist := mustHistory(t, Config{Nodes: 6, Buses: 2, Seed: 3})
 	for src := 0; src < 5; src++ {
 		if _, err := n.Send(NodeID(src), NodeID(src+1), []uint64{9}); err != nil {
 			t.Fatal(err)
@@ -403,13 +403,16 @@ func TestEachRecordMatchesRecords(t *testing.T) {
 	if err := n.Drain(10_000); err != nil {
 		t.Fatal(err)
 	}
-	want := n.Records()
-	if n.RecordCount() != len(want) {
-		t.Fatalf("RecordCount=%d, want %d", n.RecordCount(), len(want))
+	if _, err := n.Send(0, 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := hist.Records()
+	if len(want) != 6 || want[6].Done {
+		t.Fatalf("Records = %v, want five finished and one queued", want)
 	}
 	var lastID flit.MessageID
-	got := make(map[flit.MessageID]MsgRecord, n.RecordCount())
-	n.EachRecord(func(r MsgRecord) {
+	got := make(map[flit.MessageID]MsgRecord, len(want))
+	hist.EachRecord(func(r MsgRecord) {
 		if r.ID <= lastID {
 			t.Fatalf("EachRecord out of order: %d after %d", r.ID, lastID)
 		}

@@ -99,6 +99,7 @@ func TestShardedCloseMidRunFallsBack(t *testing.T) {
 		}
 		rec := &captureRecorder{}
 		n.SetRecorder(rec)
+		hist := NewHistory(n)
 		for src := 0; src < cfg.Nodes; src++ {
 			if _, err := n.Send(NodeID(src), NodeID((src+5)%cfg.Nodes), []uint64{1, 2, 3}); err != nil {
 				t.Fatalf("Send: %v", err)
@@ -113,8 +114,8 @@ func TestShardedCloseMidRunFallsBack(t *testing.T) {
 		return schedulerRunResult{
 			now:       n.Now(),
 			stats:     n.Stats(),
-			records:   n.Records(),
-			delivered: n.Delivered(),
+			records:   hist.Records(),
+			delivered: hist.Delivered(),
 			cycle:     n.GlobalCycle(),
 			events:    rec.events,
 			drainErr:  drainErr,

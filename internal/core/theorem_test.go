@@ -128,7 +128,7 @@ func TestLemma1UnderTraffic(t *testing.T) {
 // second request can insert at the same nodes while the first circuit is
 // still alive.
 func TestTopBusReleasedByCompaction(t *testing.T) {
-	n := mustNetwork(t, Config{Nodes: 10, Buses: 3, Seed: 1, Audit: true})
+	n, hist := mustHistory(t, Config{Nodes: 10, Buses: 3, Seed: 1, Audit: true})
 	if _, err := n.Send(0, 5, make([]uint64, 400)); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestTopBusReleasedByCompaction(t *testing.T) {
 	if err := n.Drain(500_000); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(n.Delivered()); got != 2 {
+	if got := len(hist.Delivered()); got != 2 {
 		t.Errorf("delivered %d, want 2", got)
 	}
 }

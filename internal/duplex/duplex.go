@@ -69,6 +69,8 @@ type Network struct {
 	cfg Config
 	cw  *core.Network
 	ccw *core.Network
+	// cwHist / ccwHist keep each ring's finished messages.
+	cwHist, ccwHist *core.History
 
 	// dirOf remembers which ring carries each message (by the caller's
 	// message handle, which equals the underlying ring's message ID by
@@ -100,7 +102,11 @@ func New(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("duplex: counter-clockwise ring: %w", err)
 	}
-	return &Network{cfg: cfg, cw: cw, ccw: ccw, dirOf: make(map[flit.MessageID]Direction)}, nil
+	return &Network{
+		cfg: cfg, cw: cw, ccw: ccw,
+		cwHist: core.NewHistory(cw), ccwHist: core.NewHistory(ccw),
+		dirOf: make(map[flit.MessageID]Direction),
+	}, nil
 }
 
 // mirror maps a real node to its counter-clockwise ring coordinate.
@@ -167,8 +173,8 @@ func (n *Network) Now() sim.Tick { return n.cw.Now() }
 // Delivered returns every delivered message in real (un-mirrored)
 // coordinates, clockwise deliveries first.
 func (n *Network) Delivered() []flit.Message {
-	out := n.cw.Delivered()
-	for _, m := range n.ccw.Delivered() {
+	out := n.cwHist.Delivered()
+	for _, m := range n.ccwHist.Delivered() {
 		m.Src = n.mirror(m.Src)
 		m.Dst = n.mirror(m.Dst)
 		out = append(out, m)
@@ -179,9 +185,9 @@ func (n *Network) Delivered() []flit.Message {
 // Record returns the lifecycle record for a handle, in real coordinates.
 func (n *Network) Record(h Handle) (core.MsgRecord, bool) {
 	if h.Dir == Clockwise {
-		return n.cw.Record(h.ID)
+		return n.cwHist.Record(h.ID)
 	}
-	r, ok := n.ccw.Record(h.ID)
+	r, ok := n.ccwHist.Record(h.ID)
 	if ok {
 		r.Src = n.mirror(r.Src)
 		r.Dst = n.mirror(r.Dst)

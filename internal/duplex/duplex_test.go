@@ -123,6 +123,7 @@ func TestShorterLatencyThanSingleRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	singleHist := core.NewHistory(single)
 	idS, err := single.Send(0, 15, make([]uint64, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +131,7 @@ func TestShorterLatencyThanSingleRing(t *testing.T) {
 	if err := single.Drain(100_000); err != nil {
 		t.Fatal(err)
 	}
-	recS, _ := single.Record(idS)
+	recS, _ := singleHist.Record(idS)
 
 	dup, err := New(Config{Nodes: N, Buses: 4, Seed: 5})
 	if err != nil {

@@ -639,6 +639,7 @@ func AblationCompaction() (string, error) {
 				if err != nil {
 					return "", err
 				}
+				hist := core.NewHistory(n)
 				// A stream of three permutations queued back to back so
 				// insertion availability, not raw capacity, gates progress.
 				for round := 0; round < 3; round++ {
@@ -655,7 +656,7 @@ func AblationCompaction() (string, error) {
 				st := n.Stats()
 				ticks.Add(float64(n.Now()))
 				moves.Add(float64(st.CompactionMoves))
-				n.EachRecord(func(r core.MsgRecord) {
+				hist.EachRecord(func(r core.MsgRecord) {
 					wait.Add(float64(r.FirstInserted - r.Enqueued))
 				})
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -65,6 +66,11 @@ func TestTheorem1AllComplete(t *testing.T) {
 	}
 }
 
+// TestCompetitiveRatioBounded bounds C1's measured competitiveness. C1
+// routes six random permutations on an N = 16 ring for each of k = 2
+// and k = 4 buses, so this is a claim about N = 16 only: the mean ratio
+// of on-line completion time to the off-line greedy makespan must stay
+// at most 4 for each k (it measures about 3.1 at k = 2 and 1.8 at k = 4).
 func TestCompetitiveRatioBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long experiment")
@@ -75,5 +81,28 @@ func TestCompetitiveRatioBounded(t *testing.T) {
 	}
 	if !strings.Contains(out, "ratio: mean=") {
 		t.Fatalf("missing summary:\n%s", out)
+	}
+	const bound = 4.0
+	sum := map[string]float64{}
+	runs := map[string]int{}
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 6 || !strings.HasPrefix(f[0], "perm(") {
+			continue
+		}
+		r, err := strconv.ParseFloat(f[5], 64)
+		if err != nil {
+			t.Fatalf("row %q: ratio: %v", line, err)
+		}
+		sum[f[1]] += r
+		runs[f[1]]++
+	}
+	for _, k := range []string{"2", "4"} {
+		if runs[k] != 6 {
+			t.Fatalf("C1 has %d runs for k=%s, want 6:\n%s", runs[k], k, out)
+		}
+		if mean := sum[k] / float64(runs[k]); mean > bound {
+			t.Errorf("N=16, k=%s: mean competitive ratio %.2f exceeds %.0f", k, mean, bound)
+		}
 	}
 }

@@ -105,6 +105,7 @@ func Fairness() (string, error) {
 		if err != nil {
 			return 0, 0, 0, err
 		}
+		hist := core.NewHistory(n)
 		// Four back-to-back random permutations keep every send port
 		// busy, so insertion opportunity is the contended resource.
 		rng := sim.NewRNG(77)
@@ -120,7 +121,7 @@ func Fairness() (string, error) {
 			return 0, 0, 0, err
 		}
 		perNode := make([]metrics.Summary, N)
-		n.EachRecord(func(r core.MsgRecord) {
+		hist.EachRecord(func(r core.MsgRecord) {
 			perNode[r.Src].Add(float64(r.FirstInserted - r.Enqueued))
 		})
 		var all metrics.Summary

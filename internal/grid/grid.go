@@ -66,10 +66,12 @@ type ringRef struct {
 
 // Network is a 2-D grid of RMB rings.
 type Network struct {
-	cfg   Config
-	rows  []*core.Network // rows[r]: ring over columns 0..w-1
-	cols  []*core.Network // cols[c]: ring over rows 0..h-1
-	clock *sim.Clock
+	cfg  Config
+	rows []*core.Network // rows[r]: ring over columns 0..w-1
+	cols []*core.Network // cols[c]: ring over rows 0..h-1
+	// rowHist[r] / colHist[c] keep each ring's deliveries for absorb.
+	rowHist, colHist []*core.History
+	clock            *sim.Clock
 
 	nextID MsgID
 	// inflight maps a ring-level message to its grid message and phase.
@@ -108,6 +110,7 @@ func New(cfg Config) (*Network, error) {
 			return nil, fmt.Errorf("grid: row %d: %w", r, err)
 		}
 		g.rows = append(g.rows, ring)
+		g.rowHist = append(g.rowHist, core.NewHistory(ring))
 	}
 	for c := 0; c < cfg.Width; c++ {
 		cc := base
@@ -118,6 +121,7 @@ func New(cfg Config) (*Network, error) {
 			return nil, fmt.Errorf("grid: column %d: %w", c, err)
 		}
 		g.cols = append(g.cols, ring)
+		g.colHist = append(g.colHist, core.NewHistory(ring))
 	}
 	return g, nil
 }
@@ -197,9 +201,8 @@ func (g *Network) Step() bool {
 // grid messages or launching their second phase.
 func (g *Network) absorbDeliveries() bool {
 	moved := false
-	for r, ring := range g.rows {
-		all := ring.Delivered()
-		for _, msg := range all[g.consumedRow[r]:] {
+	for r, hist := range g.rowHist {
+		for _, msg := range hist.DeliveredSince(g.consumedRow[r]) {
 			g.consumedRow[r] = g.consumedRow[r] + 1
 			ref := ringRef{row: true, idx: r, ring: msg.ID}
 			m, ok := g.inflight[ref]
@@ -223,9 +226,8 @@ func (g *Network) absorbDeliveries() bool {
 			g.inflight[ringRef{row: false, idx: dc, ring: id}] = m
 		}
 	}
-	for c, ring := range g.cols {
-		all := ring.Delivered()
-		for _, msg := range all[g.consumedCol[c]:] {
+	for c, hist := range g.colHist {
+		for _, msg := range hist.DeliveredSince(g.consumedCol[c]) {
 			g.consumedCol[c] = g.consumedCol[c] + 1
 			ref := ringRef{row: false, idx: c, ring: msg.ID}
 			m, ok := g.inflight[ref]

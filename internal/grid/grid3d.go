@@ -62,7 +62,9 @@ type Network3D struct {
 	ringsX []*core.Network // indexed by z*Y + y
 	ringsY []*core.Network // indexed by z*X + x
 	ringsZ []*core.Network // indexed by y*X + x
-	clock  *sim.Clock
+	// hist[ax][i] keeps ring i of axis ax's deliveries for absorb.
+	hist  map[axis][]*core.History
+	clock *sim.Clock
 
 	nextID   MsgID
 	inflight map[ringRef3D]*message3D
@@ -84,6 +86,7 @@ func New3D(cfg Config3D) (*Network3D, error) {
 		cfg:      cfg,
 		clock:    sim.NewClock(),
 		inflight: make(map[ringRef3D]*message3D),
+		hist:     make(map[axis][]*core.History),
 		consumed: map[axis][]int{
 			axisX: make([]int, cfg.Y*cfg.Z),
 			axisY: make([]int, cfg.X*cfg.Z),
@@ -92,28 +95,32 @@ func New3D(cfg Config3D) (*Network3D, error) {
 	}
 	base := cfg.Core
 	base.Buses = cfg.Buses
-	build := func(nodes int, salt uint64) (*core.Network, error) {
+	build := func(ax axis, nodes int, salt uint64) (*core.Network, error) {
 		c := base
 		c.Nodes = nodes
 		c.Seed = cfg.Seed ^ salt
-		return core.NewNetwork(c)
+		r, err := core.NewNetwork(c)
+		if err == nil {
+			g.hist[ax] = append(g.hist[ax], core.NewHistory(r))
+		}
+		return r, err
 	}
 	for i := 0; i < cfg.Y*cfg.Z; i++ {
-		r, err := build(cfg.X, 0x100+uint64(i)<<8)
+		r, err := build(axisX, cfg.X, 0x100+uint64(i)<<8)
 		if err != nil {
 			return nil, fmt.Errorf("grid: X ring %d: %w", i, err)
 		}
 		g.ringsX = append(g.ringsX, r)
 	}
 	for i := 0; i < cfg.X*cfg.Z; i++ {
-		r, err := build(cfg.Y, 0x200+uint64(i)<<8)
+		r, err := build(axisY, cfg.Y, 0x200+uint64(i)<<8)
 		if err != nil {
 			return nil, fmt.Errorf("grid: Y ring %d: %w", i, err)
 		}
 		g.ringsY = append(g.ringsY, r)
 	}
 	for i := 0; i < cfg.X*cfg.Y; i++ {
-		r, err := build(cfg.Z, 0x300+uint64(i)<<8)
+		r, err := build(axisZ, cfg.Z, 0x300+uint64(i)<<8)
 		if err != nil {
 			return nil, fmt.Errorf("grid: Z ring %d: %w", i, err)
 		}
@@ -229,10 +236,9 @@ func (g *Network3D) Step() bool {
 
 func (g *Network3D) absorb() bool {
 	moved := false
-	handle := func(ax axis, rings []*core.Network) {
-		for idx, ring := range rings {
-			all := ring.Delivered()
-			for _, msg := range all[g.consumed[ax][idx]:] {
+	handle := func(ax axis) {
+		for idx, hist := range g.hist[ax] {
+			for _, msg := range hist.DeliveredSince(g.consumed[ax][idx]) {
 				g.consumed[ax][idx]++
 				ref := ringRef3D{ax: ax, idx: idx, ring: msg.ID}
 				m, ok := g.inflight[ref]
@@ -257,9 +263,9 @@ func (g *Network3D) absorb() bool {
 			}
 		}
 	}
-	handle(axisX, g.ringsX)
-	handle(axisY, g.ringsY)
-	handle(axisZ, g.ringsZ)
+	handle(axisX)
+	handle(axisY)
+	handle(axisZ)
 	return moved
 }
 

@@ -13,13 +13,19 @@
 // consume the identical sequence an uninterrupted run would have.
 //
 // Traffic can be driven in one shot (Run) or incrementally (Driver),
-// which steps one tick at a time and can surrender its tiny resume state
+// which steps one tick at a time and can surrender its small resume state
 // (State) alongside a core network checkpoint — the seam rmbd's
 // checkpoint/resume is built on.
+//
+// The driver measures through the network's delivery hook: each measured
+// message is folded into a count and an exact integer-tick latency
+// histogram as it finishes, so a run keeps no per-message history and
+// its memory follows the live ring, not the run's length.
 package loadgen
 
 import (
 	"fmt"
+	"slices"
 
 	"rmb/internal/core"
 	"rmb/internal/metrics"
@@ -131,14 +137,20 @@ type Result struct {
 // State is a Driver's resumable position in the workload: everything the
 // generator holds outside the network itself. Serialized alongside a
 // core checkpoint it lets ResumeDriver continue the identical arrival
-// stream — the simulation clock lives in (and is restored with) the
-// network, so the state is just the PRNG position and the running
-// submission count.
+// stream and measurement — the simulation clock lives in (and is
+// restored with) the network, so the state is the PRNG position, the
+// running submission count and the measurements folded so far.
 type State struct {
 	// RNG is the workload PRNG position (sim.RNG.State).
 	RNG uint64
 	// Submitted counts measured-window submissions so far.
 	Submitted int
+	// Delivered counts measured-window messages delivered so far.
+	Delivered int
+	// Latency is those messages' enqueue-to-delivery latency histogram:
+	// (ticks, count) pairs by ascending ticks, counts positive and
+	// summing to Delivered.
+	Latency []int64
 }
 
 // Driver drives the open-loop workload one tick at a time, so a caller
@@ -152,8 +164,10 @@ type Driver struct {
 	payload  []uint64
 	end      sim.Tick // warmup + measure
 	deadline sim.Tick // end + drain
-	state    State
-	done     bool
+	state    State    // Latency unused: the histogram lives in lat
+	// lat[t] counts measured messages delivered t ticks after enqueue.
+	lat  []int64
+	done bool
 }
 
 // NewDriver validates the configuration, injects the fault plan (if any)
@@ -185,18 +199,69 @@ func ResumeDriver(n *core.Network, cfg Config, st State) (*Driver, error) {
 	}
 	d := newDriver(n, cfg)
 	d.rng.Restore(st.RNG)
+	if err := d.restoreLatency(st); err != nil {
+		return nil, err
+	}
 	d.state = st
+	d.state.Latency = nil
 	return d, nil
 }
 
+// restoreLatency rebuilds the dense histogram from a State's pairs.
+func (d *Driver) restoreLatency(st State) error {
+	if len(st.Latency)%2 != 0 {
+		return fmt.Errorf("loadgen: latency histogram has an odd number of entries (%d)", len(st.Latency))
+	}
+	total := int64(0)
+	for i := 0; i < len(st.Latency); i += 2 {
+		t, c := st.Latency[i], st.Latency[i+1]
+		if t < 0 || c <= 0 || (i > 0 && t <= st.Latency[i-2]) || t > int64(d.deadline) {
+			return fmt.Errorf("loadgen: latency histogram entry (%d, %d) out of order or range", t, c)
+		}
+		d.grow(int(t))
+		d.lat[t] = c
+		total += c
+	}
+	if total != int64(st.Delivered) {
+		return fmt.Errorf("loadgen: latency histogram counts %d deliveries, state says %d", total, st.Delivered)
+	}
+	return nil
+}
+
 func newDriver(n *core.Network, cfg Config) *Driver {
-	return &Driver{
+	deadline := cfg.Warmup + cfg.Measure + cfg.Drain
+	d := &Driver{
 		n:        n,
 		cfg:      cfg,
 		rng:      sim.NewRNG(cfg.Seed ^ 0x10ad),
 		payload:  make([]uint64, cfg.PayloadLen),
 		end:      cfg.Warmup + cfg.Measure,
-		deadline: cfg.Warmup + cfg.Measure + cfg.Drain,
+		deadline: deadline,
+		// No latency exceeds the deadline, so one allocation covers a
+		// short run's whole range; longer runs grow past 4096 ticks.
+		lat: make([]int64, 0, min(deadline+1, 4096)),
+	}
+	n.OnDeliver(d.observe)
+	return d
+}
+
+// observe is the driver's delivery hook. Every message in the run came
+// from a Send in Step, and its Enqueued tick is the loop tick it was
+// submitted at, so the warmup filter falls out of the record itself.
+func (d *Driver) observe(rec core.MsgRecord, _ []uint64, _ []core.NodeID) {
+	if rec.Enqueued < d.cfg.Warmup {
+		return
+	}
+	t := int(rec.DeliverLatency())
+	d.grow(t)
+	d.lat[t]++
+	d.state.Delivered++
+}
+
+// grow makes room in the histogram for latency t.
+func (d *Driver) grow(t int) {
+	if t >= len(d.lat) {
+		d.lat = slices.Grow(d.lat, t+1-len(d.lat))[:t+1]
 	}
 }
 
@@ -247,7 +312,15 @@ func (d *Driver) Draining() bool { return !d.done && d.n.Now() >= d.end }
 
 // State returns the driver's resumable position. Valid at any tick
 // boundary; pair it with a core checkpoint taken at the same boundary.
-func (d *Driver) State() State { return d.state }
+func (d *Driver) State() State {
+	st := d.state
+	for t, c := range d.lat {
+		if c > 0 {
+			st.Latency = append(st.Latency, int64(t), c)
+		}
+	}
+	return st
+}
 
 // Network returns the driven network.
 func (d *Driver) Network() *core.Network { return d.n }
@@ -256,18 +329,17 @@ func (d *Driver) Network() *core.Network { return d.n }
 // false (earlier calls summarize the run so far).
 func (d *Driver) Result() Result {
 	n := d.n
-	res := Result{OfferedRate: d.cfg.Rate, Submitted: d.state.Submitted}
+	res := Result{OfferedRate: d.cfg.Rate, Submitted: d.state.Submitted, Delivered: d.state.Delivered}
 	res.Saturated = !n.Idle()
 
-	// Every record in the run came from a Send above, and its Enqueued
-	// tick is the loop tick it was submitted at — so the warmup filter the
-	// per-ID tracking map used to provide falls out of the record itself.
-	n.EachRecord(func(rec core.MsgRecord) {
-		if rec.Done && rec.Enqueued >= d.cfg.Warmup {
-			res.Delivered++
-			res.Latency.Add(float64(rec.DeliverLatency()))
+	// Latencies are integer ticks, so the Sample's float sum is exact in
+	// any order and its percentiles sort: rebuilt from the histogram, it
+	// has the Count, Mean and percentiles of the per-message fold.
+	for t, c := range d.lat {
+		for ; c > 0; c-- {
+			res.Latency.Add(float64(t))
 		}
-	})
+	}
 	res.AcceptedRate = float64(res.Delivered) / float64(d.cfg.Measure) / float64(n.Config().Nodes)
 	st := n.Stats()
 	res.MeanUtilization = st.MeanUtilization(n.Config().Nodes * n.Config().Buses)

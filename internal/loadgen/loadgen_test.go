@@ -1,10 +1,12 @@
 package loadgen
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"rmb/internal/core"
+	"rmb/internal/metrics"
 	"rmb/internal/sim"
 )
 
@@ -282,5 +284,97 @@ func TestChaosMode(t *testing.T) {
 	bad := core.FaultPlan{Events: []core.FaultEvent{{Kind: core.FaultSegmentFail, Node: 99}}}
 	if _, err := Run(freshNet(t, 3), Config{Rate: 0.01, Measure: 100, Faults: bad}); err == nil {
 		t.Error("invalid fault plan accepted")
+	}
+}
+
+// TestResultMatchesHistoryFold pins the driver's folded measurement to
+// the per-message fold it replaced: over 32 seeds — both sync modes,
+// three patterns, warmups, and chaos fault plans on every other seed —
+// the Result built from the delivery-hook histogram must equal one
+// computed by folding a History's records, with Count, Mean and the
+// percentiles of Latency equal bit for bit. Every fourth seed also
+// checkpoints mid-run and resumes, so the histogram crosses the State.
+func TestResultMatchesHistoryFold(t *testing.T) {
+	patterns := []DestFn{UniformDest, NeighbourDest, HotspotDest}
+	for seed := uint64(0); seed < 32; seed++ {
+		ccfg := core.Config{Nodes: 12, Buses: 2 + int(seed%3), Seed: seed, Mode: core.SyncMode(seed % 2)}
+		cfg := Config{
+			Rate: 0.01 + 0.01*float64(seed%4), PayloadLen: int(seed % 5),
+			Warmup: sim.Tick(50 * (seed % 3)), Measure: 600, Drain: 20_000,
+			Pattern: patterns[seed%3], Seed: seed + 100,
+		}
+		if seed%2 == 1 {
+			cfg.Faults = core.ChaosPlan(ccfg.Nodes, ccfg.Buses, core.ChaosOptions{
+				Seed: seed, Horizon: 1500, SegmentRate: 0.25, INCRate: 0.1, MeanDown: 100, MeanUp: 250,
+			})
+		}
+		n, err := core.NewNetwork(ccfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist := core.NewHistory(n)
+		d, err := NewDriver(n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want Result
+		for steps := 0; ; steps++ {
+			if seed%4 == 0 && steps == 300 {
+				// The restored network has no history; fold the
+				// uninterrupted run's records instead and resume a copy.
+				ckpt, err := d.Network().MarshalCheckpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				rn, err := core.UnmarshalCheckpoint(ckpt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d2, err := ResumeDriver(rn, cfg, d.State())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for more := true; more; {
+					if more, err = d2.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want = d2.Result()
+			}
+			more, err := d.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !more {
+				break
+			}
+		}
+		got := d.Result()
+		if seed%4 == 0 && !reflect.DeepEqual(want, got) {
+			t.Fatalf("seed %d: resumed result diverged:\n got:  %+v\n want: %+v", seed, want, got)
+		}
+		var fold metrics.Sample
+		delivered := 0
+		hist.EachRecord(func(r core.MsgRecord) {
+			if r.Done && r.Enqueued >= cfg.Warmup {
+				delivered++
+				fold.Add(float64(r.DeliverLatency()))
+			}
+		})
+		if got.Delivered != delivered || got.Latency.Count() != fold.Count() {
+			t.Fatalf("seed %d: driver counted %d deliveries (%d samples), history %d", seed, got.Delivered, got.Latency.Count(), delivered)
+		}
+		if got.Delivered == 0 {
+			t.Fatalf("seed %d: nothing delivered; the comparison is vacuous", seed)
+		}
+		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if !same(got.Latency.Mean(), fold.Mean()) {
+			t.Fatalf("seed %d: mean %v, history fold %v", seed, got.Latency.Mean(), fold.Mean())
+		}
+		for _, p := range []float64{0, 1, 25, 50, 90, 95, 99, 99.9, 100} {
+			if a, b := got.Latency.Percentile(p), fold.Percentile(p); !same(a, b) {
+				t.Fatalf("seed %d: p%v %v, history fold %v", seed, p, a, b)
+			}
+		}
 	}
 }

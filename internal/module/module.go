@@ -74,7 +74,10 @@ type Network struct {
 	cfg    Config
 	locals []*core.Network
 	trunk  *core.Network
-	clock  *sim.Clock
+	// localHist[m] and trunkHist keep each ring's deliveries for absorb.
+	localHist []*core.History
+	trunkHist *core.History
+	clock     *sim.Clock
 
 	nextID        MsgID
 	inflight      map[ringRef]*message
@@ -113,6 +116,7 @@ func New(cfg Config) (*Network, error) {
 			return nil, fmt.Errorf("module: local ring %d: %w", m, err)
 		}
 		n.locals = append(n.locals, ring)
+		n.localHist = append(n.localHist, core.NewHistory(ring))
 	}
 	tc := base
 	tc.Nodes = cfg.Modules
@@ -123,6 +127,7 @@ func New(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("module: trunk ring: %w", err)
 	}
 	n.trunk = trunk
+	n.trunkHist = core.NewHistory(trunk)
 	return n, nil
 }
 
@@ -204,9 +209,8 @@ func (n *Network) Step() bool {
 // absorb moves completed ring transactions to their next phase.
 func (n *Network) absorb() bool {
 	moved := false
-	for mIdx, ring := range n.locals {
-		all := ring.Delivered()
-		for _, msg := range all[n.consumedLocal[mIdx]:] {
+	for mIdx, hist := range n.localHist {
+		for _, msg := range hist.DeliveredSince(n.consumedLocal[mIdx]) {
 			n.consumedLocal[mIdx]++
 			if m, ok := n.takeRef(ringRef{kind: phaseLocalOut, idx: mIdx, ring: msg.ID}); ok {
 				moved = true
@@ -225,8 +229,7 @@ func (n *Network) absorb() bool {
 			}
 		}
 	}
-	all := n.trunk.Delivered()
-	for _, msg := range all[n.consumedTrunk:] {
+	for _, msg := range n.trunkHist.DeliveredSince(n.consumedTrunk) {
 		n.consumedTrunk++
 		m, ok := n.takeRef(ringRef{kind: phaseTrunk, ring: msg.ID})
 		if !ok {

@@ -96,8 +96,10 @@ type Occupancy struct {
 	Status [][]string `json:"status"`
 }
 
-// FromNetwork builds a report from a drained (or running) network.
-func FromNetwork(n *core.Network, workloadName string, includeMessages, includeSnapshot bool) *Report {
+// FromNetwork builds a report from a drained (or running) network. The
+// per-message list is included when hist, a History attached to n, is
+// given.
+func FromNetwork(n *core.Network, hist *core.History, workloadName string, includeSnapshot bool) *Report {
 	cfg := n.Config()
 	st := n.Stats()
 	r := &Report{
@@ -142,11 +144,11 @@ func FromNetwork(n *core.Network, workloadName string, includeMessages, includeS
 			MeanFaultySegments:   st.MeanFaultySegments(),
 		},
 	}
-	if includeMessages {
+	if hist != nil {
 		// EachRecord visits in ascending message-ID order, so the output
 		// needs no sort and no intermediate map copy.
-		r.Messages = make([]Message, 0, n.RecordCount())
-		n.EachRecord(func(rec core.MsgRecord) {
+		r.Messages = make([]Message, 0, st.MessagesSubmitted)
+		hist.EachRecord(func(rec core.MsgRecord) {
 			r.Messages = append(r.Messages, Message{
 				ID: uint64(rec.ID), Src: int32(rec.Src), Dst: int32(rec.Dst),
 				Distance: rec.Distance, PayloadLen: rec.PayloadLen, Fanout: rec.Fanout,

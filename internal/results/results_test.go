@@ -8,12 +8,13 @@ import (
 	"rmb/internal/core"
 )
 
-func drainedNetwork(t *testing.T) *core.Network {
+func drainedNetwork(t *testing.T) (*core.Network, *core.History) {
 	t.Helper()
 	n, err := core.NewNetwork(core.Config{Nodes: 8, Buses: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hist := core.NewHistory(n)
 	if _, err := n.Send(0, 5, []uint64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -23,12 +24,12 @@ func drainedNetwork(t *testing.T) *core.Network {
 	if err := n.Drain(100_000); err != nil {
 		t.Fatal(err)
 	}
-	return n
+	return n, hist
 }
 
 func TestRoundTrip(t *testing.T) {
-	n := drainedNetwork(t)
-	r := FromNetwork(n, "two-sends", true, true)
+	n, hist := drainedNetwork(t)
+	r := FromNetwork(n, hist, "two-sends", true)
 	var buf bytes.Buffer
 	if err := r.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -63,8 +64,8 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestOptionalSections(t *testing.T) {
-	n := drainedNetwork(t)
-	r := FromNetwork(n, "lean", false, false)
+	n, _ := drainedNetwork(t)
+	r := FromNetwork(n, nil, "lean", false)
 	if r.Messages != nil || r.Snapshot != nil {
 		t.Error("optional sections present")
 	}
@@ -94,7 +95,7 @@ func TestConfigEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := FromNetwork(n, "", false, false)
+	r := FromNetwork(n, nil, "", false)
 	if r.Config.Mode != "async" || r.Config.HeadRule != "strict-top" {
 		t.Errorf("config %+v", r.Config)
 	}

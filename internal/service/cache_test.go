@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"rmb/internal/core"
 	"rmb/internal/loadgen"
@@ -607,5 +608,58 @@ func TestMetricsEndpoint(t *testing.T) {
 		!strings.Contains(body, "# TYPE rmbd_cache_hits_total counter") ||
 		!strings.Contains(body, "# TYPE rmbd_jobs gauge") {
 		t.Error("missing HELP/TYPE framing")
+	}
+}
+
+// TestCachedBeforeDone: a job reads as done only once its run is in the
+// cache. A client that sees "done" and resubmits the same spec must be
+// served from the cache every time; the worker hook resubmits at the
+// earliest moment a client could, right after the terminal state is
+// published.
+func TestCachedBeforeDone(t *testing.T) {
+	m, err := NewManager(1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	type outcome struct {
+		id  string
+		st  Status
+		err error
+	}
+	seen := make(chan outcome, 64)
+	m.afterTerminal = func(j *Job) {
+		if j.Status().State != StateDone || j.cacheKey == "" {
+			return
+		}
+		j2, err := m.Submit(j.spec)
+		if err != nil {
+			seen <- outcome{id: j.ID(), err: err}
+			return
+		}
+		seen <- outcome{id: j.ID(), st: j2.Status()}
+	}
+	const jobs = 20
+	for i := 0; i < jobs; i++ {
+		spec := smallSpec(uint64(100 + i))
+		spec.Workload.Measure = 200
+		spec.Trace = i%2 == 0
+		if _, err := m.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < jobs; i++ {
+		var o outcome
+		select {
+		case o = <-seen:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("only %d of %d jobs finished", i, jobs)
+		}
+		if o.err != nil {
+			t.Fatalf("resubmitting %s: %v", o.id, o.err)
+		}
+		if o.st.State != StateDone || !o.st.Cached {
+			t.Fatalf("resubmission of done job %s missed the cache: %+v", o.id, o.st)
+		}
 	}
 }

@@ -210,7 +210,7 @@ func TestDecodeCheckpointRejects(t *testing.T) {
 		{"bad magic", with(0, 'R'), "bad magic", false},
 		{"core bytes", data[jobHeaderPos+hdrLen:], "bad magic", false},
 		{"v1 json", []byte(`{"version":1,"id":"j1","spec":{},"driver":{},"core":{}}`), "version 1", true},
-		{"future version", with(len(jobMagic), CheckpointVersion+1), "version 3", true},
+		{"future version", with(len(jobMagic), CheckpointVersion+1), fmt.Sprintf("version %d", CheckpointVersion+1), true},
 		{"header cut", data[:jobHeaderPos+hdrLen-1], "exceeds", false},
 		{"header bit flip", with(jobHeaderPos+2, data[jobHeaderPos+2]^0x20), "checksum", false},
 		{"non-canonical header", spaced, "canonical", false},
@@ -269,9 +269,11 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 var updateCorpus = flag.Bool("update", false, "rewrite the committed fuzz seed corpus")
 
 // TestCheckpointFuzzCorpus keeps FuzzDecodeCheckpoint's committed seed
-// corpus made of real job checkpoints in the current format: every file
-// must decode, and its core bytes restore. Run with -update to
-// regenerate the files after a format change.
+// corpus made of real job checkpoints in the current format: every
+// generated file must decode, and its core bytes restore. Run with
+// -update to regenerate them after a format change. The v2- seeds are
+// real job checkpoints of an older format, kept as inputs the decoder
+// must refuse as unsupported.
 func TestCheckpointFuzzCorpus(t *testing.T) {
 	traced := smallSpec(4)
 	traced.Trace, traced.Workload.Pattern = true, "neighbour"
@@ -317,6 +319,23 @@ func TestCheckpointFuzzCorpus(t *testing.T) {
 		}
 		if err != nil {
 			t.Fatalf("%s no longer decodes (run with -update after a format change): %v", path, err)
+		}
+	}
+	old, err := filepath.Glob(filepath.Join(dir, "v2-*"))
+	if err != nil || len(old) == 0 {
+		t.Fatalf("no v2 seed in %s: %v", dir, err)
+	}
+	for _, path := range old {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n"))
+		if err != nil {
+			t.Fatalf("%s: not a []byte corpus entry: %v", path, err)
+		}
+		if _, err := DecodeCheckpoint([]byte(data)); !errors.Is(err, ErrUnsupportedVersion) {
+			t.Fatalf("%s: got %v, want ErrUnsupportedVersion", path, err)
 		}
 	}
 }

@@ -260,23 +260,38 @@ func (j *Job) markRunStart() {
 	j.mu.Unlock()
 }
 
-// finish records a terminal state; result may be nil. It returns the
-// run-phase duration for the histogram and slow-job check (0 if the
-// job never entered its tick loop, or on a repeated finish).
-func (j *Job) finish(state JobState, res *loadgen.Result, errMsg string) time.Duration {
+// A terminal transition has two steps, so that a job is never seen as
+// finished before everything that follows from its run is in place.
+// seal ends the run phase and seals the trace: the job's outputs are
+// final, but it still reads as running. publish then sets the terminal
+// state, result and error at once. Between the two the worker makes the
+// outputs available elsewhere — the run cache — so a client that sees
+// "done" and resubmits the same spec is served from the cache.
+
+// seal is the first step. It returns the run-phase duration for the
+// histogram and slow-job check (0 if the job never entered its tick
+// loop), and false if the job has already finished.
+func (j *Job) seal() (time.Duration, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		return 0
+		return 0, false
 	}
+	runDur := j.stampRunLocked(time.Now())
+	j.closeTraceLocked()
+	return runDur, true
+}
+
+// publish is the second step: it makes the terminal state visible;
+// result may be nil.
+func (j *Job) publish(state JobState, res *loadgen.Result, errMsg string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	now := time.Now()
 	j.state = state
 	j.result = res
 	j.errMsg = errMsg
 	j.finished = &now
-	runDur := j.stampRunLocked(now)
-	j.closeTraceLocked()
-	return runDur
 }
 
 // stampRunLocked closes the run phase at now. Callers hold j.mu.
@@ -380,7 +395,9 @@ type Checkpoint struct {
 	// Spec is the original job description; the fault plan inside it is
 	// NOT re-injected on resume (pending fault timers ride in Core).
 	Spec JobSpec `json:"spec"`
-	// Driver is the workload generator's resume state.
+	// Driver is the workload generator's resume state, including the
+	// delivery count and latency histogram measured so far: the core
+	// checkpoint carries only the live ring, not finished messages.
 	Driver loadgen.State `json:"driver"`
 	// Core is the core.Network checkpoint, carrying its own version and
 	// checksum. It is empty for a job suspended before it started.
@@ -388,7 +405,10 @@ type Checkpoint struct {
 }
 
 // CheckpointVersion is the current job-checkpoint envelope version.
-const CheckpointVersion = 2
+// Version 3 carries the driver's measurement aggregates in the header and
+// a version 3 core checkpoint; a version 2 envelope (whose core carried
+// the whole message history instead) is refused as unsupported.
+const CheckpointVersion = 3
 
 // The job envelope frames a small JSON header (id, spec, driver) and the
 // core checkpoint bytes, which it carries opaquely:

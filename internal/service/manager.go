@@ -62,6 +62,10 @@ type Manager struct {
 	hist    *svcHist
 	logger  *slog.Logger
 	slowJob time.Duration
+
+	// afterTerminal, when set (by tests), runs on the worker right after
+	// it publishes a job's terminal state.
+	afterTerminal func(*Job)
 }
 
 // Options parameterizes a Manager beyond the worker/queue pair.
@@ -476,7 +480,7 @@ func (m *Manager) runJob(j *Job) {
 	// worker will ever pick up its request (ErrNotRunning).
 	defer j.cancel()
 	if j.ctx.Err() != nil {
-		m.finishJob(j, StateCanceled, nil, "canceled while queued")
+		m.finishJob(j, StateCanceled, nil, "canceled while queued", nil)
 		return
 	}
 	if m.suspended() {
@@ -515,7 +519,7 @@ func (m *Manager) runJob(j *Job) {
 		restoreStart := time.Now()
 		n, err := m.restoreNetwork(j.spec.Config, j.resume.Core)
 		if err != nil {
-			m.finishJob(j, StateFailed, nil, err.Error())
+			m.finishJob(j, StateFailed, nil, err.Error(), nil)
 			return
 		}
 		driver := j.resume.Driver
@@ -531,12 +535,12 @@ func (m *Manager) runJob(j *Job) {
 		n.SetRecorder(rec)
 		lcfg, err := j.spec.Workload.loadgenConfig(core.FaultPlan{})
 		if err != nil {
-			m.finishJob(j, StateFailed, nil, err.Error())
+			m.finishJob(j, StateFailed, nil, err.Error(), nil)
 			return
 		}
 		d, err = loadgen.ResumeDriver(n, lcfg, driver)
 		if err != nil {
-			m.finishJob(j, StateFailed, nil, err.Error())
+			m.finishJob(j, StateFailed, nil, err.Error(), nil)
 			return
 		}
 		j.tick.Store(int64(n.Now()))
@@ -546,7 +550,7 @@ func (m *Manager) runJob(j *Job) {
 		acquireStart := time.Now()
 		n, reused, err := m.acquireNetwork(cfg)
 		if err != nil {
-			m.finishJob(j, StateFailed, nil, err.Error())
+			m.finishJob(j, StateFailed, nil, err.Error(), nil)
 			return
 		}
 		source = "cold"
@@ -560,12 +564,12 @@ func (m *Manager) runJob(j *Job) {
 		defer m.releaseNetwork(n)
 		lcfg, err := j.spec.Workload.loadgenConfig(j.spec.Faults)
 		if err != nil {
-			m.finishJob(j, StateFailed, nil, err.Error())
+			m.finishJob(j, StateFailed, nil, err.Error(), nil)
 			return
 		}
 		d, err = loadgen.NewDriver(n, lcfg)
 		if err != nil {
-			m.finishJob(j, StateFailed, nil, err.Error())
+			m.finishJob(j, StateFailed, nil, err.Error(), nil)
 			return
 		}
 	}
@@ -591,9 +595,9 @@ func (m *Manager) runJob(j *Job) {
 		select {
 		case <-ctx.Done():
 			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				m.finishJob(j, StateFailed, nil, "deadline exceeded")
+				m.finishJob(j, StateFailed, nil, "deadline exceeded", nil)
 			} else {
-				m.finishJob(j, StateCanceled, nil, "canceled")
+				m.finishJob(j, StateCanceled, nil, "canceled", nil)
 			}
 			return
 		case <-m.suspend:
@@ -603,7 +607,7 @@ func (m *Manager) runJob(j *Job) {
 				ck, err = DecodeCheckpoint(data)
 			}
 			if err != nil {
-				m.finishJob(j, StateFailed, nil, fmt.Sprintf("suspend: %v", err))
+				m.finishJob(j, StateFailed, nil, fmt.Sprintf("suspend: %v", err), nil)
 				return
 			}
 			j.finishSuspended(ck)
@@ -617,13 +621,14 @@ func (m *Manager) runJob(j *Job) {
 		more, err := d.Step()
 		j.tick.Store(int64(d.Network().Now()))
 		if err != nil {
-			m.finishJob(j, StateFailed, nil, err.Error())
+			m.finishJob(j, StateFailed, nil, err.Error(), nil)
 			return
 		}
 		if !more {
 			res := d.Result()
-			m.finishJob(j, StateDone, &res, "")
-			m.cacheInsert(j, &res, int64(d.Network().Now()))
+			m.finishJob(j, StateDone, &res, "", func() {
+				m.cacheInsert(j, &res, int64(d.Network().Now()))
+			})
 			return
 		}
 	}
@@ -664,8 +669,9 @@ func (m *Manager) releaseNetwork(n *core.Network) {
 
 // cacheInsert memoizes a completed Submit-path run (resumed jobs carry
 // no cache key: their trace covers only the post-resume span, so they
-// are never memoized). The job is already terminal, so the entry takes
-// its sealed trace by reference.
+// are never memoized). It runs between the job's seal and publish, so
+// the entry takes the sealed trace by reference and is in the cache
+// before anyone can see the job done.
 func (m *Manager) cacheInsert(j *Job, res *loadgen.Result, finalTick int64) {
 	if m.cache == nil || j.cacheKey == "" {
 		return

@@ -207,13 +207,25 @@ func (m *Manager) logJobDone(j *Job, st Status, runDur time.Duration) {
 }
 
 // finishJob is the terminal-transition wrapper every worker exit path
-// uses: it records the state, feeds the run-phase histogram, and logs.
-func (m *Manager) finishJob(j *Job, state JobState, res *loadgen.Result, errMsg string) {
-	runDur := j.finish(state, res, errMsg)
+// uses: it seals the job, runs ready (if any) while the job still reads
+// as running, publishes the terminal state, feeds the run-phase
+// histogram, and logs.
+func (m *Manager) finishJob(j *Job, state JobState, res *loadgen.Result, errMsg string, ready func()) {
+	runDur, ok := j.seal()
+	if !ok {
+		return
+	}
+	if ready != nil {
+		ready()
+	}
+	j.publish(state, res, errMsg)
 	if m.hist != nil && runDur > 0 {
 		m.hist.run.Observe(runDur)
 	}
 	m.logJobDone(j, j.Status(), runDur)
+	if m.afterTerminal != nil {
+		m.afterTerminal(j)
+	}
 }
 
 // runtimeMetrics renders the Go runtime health gauges: the signals an

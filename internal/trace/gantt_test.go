@@ -13,6 +13,7 @@ func TestGanttRendersLifecycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hist := core.NewHistory(n)
 	if _, err := n.Send(0, 6, make([]uint64, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +23,7 @@ func TestGanttRendersLifecycles(t *testing.T) {
 	if err := n.Drain(100_000); err != nil {
 		t.Fatal(err)
 	}
-	out := Gantt{}.Render(n.Records())
+	out := Gantt{}.Render(hist.Records())
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 3 { // header + 2 messages
 		t.Fatalf("%d lines:\n%s", len(lines), out)
@@ -45,13 +46,14 @@ func TestGanttScalesToWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hist := core.NewHistory(n)
 	if _, err := n.Send(0, 15, make([]uint64, 200)); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Drain(100_000); err != nil {
 		t.Fatal(err)
 	}
-	out := Gantt{Width: 20}.Render(n.Records())
+	out := Gantt{Width: 20}.Render(hist.Records())
 	for _, l := range strings.Split(out, "\n") {
 		if i := strings.Index(l, "|"); i >= 0 {
 			j := strings.LastIndex(l, "|")
@@ -67,6 +69,7 @@ func TestGanttShowsRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hist := core.NewHistory(n)
 	// Two senders to one receiver force a Nack and retry.
 	if _, err := n.Send(1, 0, make([]uint64, 60)); err != nil {
 		t.Fatal(err)
@@ -77,7 +80,7 @@ func TestGanttShowsRetries(t *testing.T) {
 	if err := n.Drain(200_000); err != nil {
 		t.Fatal(err)
 	}
-	out := Gantt{}.Render(n.Records())
+	out := Gantt{}.Render(hist.Records())
 	if !strings.Contains(out, "attempts") {
 		t.Errorf("retry annotation missing:\n%s", out)
 	}

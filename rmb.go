@@ -43,6 +43,8 @@ type (
 	Stats = core.Stats
 	// MsgRecord tracks one message's lifecycle timestamps.
 	MsgRecord = core.MsgRecord
+	// History keeps a network's finished messages (see NewHistory).
+	History = core.History
 	// Snapshot is a read-only occupancy view.
 	Snapshot = core.Snapshot
 	// VirtualBus is one live circuit.
@@ -83,6 +85,11 @@ const HeadTimeoutDisabled = core.HeadTimeoutDisabled
 
 // New builds a deterministic cycle-stepped RMB network.
 func New(cfg Config) (*Network, error) { return core.NewNetwork(cfg) }
+
+// NewHistory attaches a History to n. A network forgets a message when
+// it finishes, so a caller that wants the delivered messages or finished
+// records attaches one right after New.
+func NewHistory(n *Network) *History { return core.NewHistory(n) }
 
 // Asynchronous implementation.
 type (

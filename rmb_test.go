@@ -12,6 +12,7 @@ func TestFacadeCoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hist := rmb.NewHistory(net)
 	id, err := net.Send(0, 4, []uint64{7})
 	if err != nil {
 		t.Fatal(err)
@@ -19,7 +20,7 @@ func TestFacadeCoreRoundTrip(t *testing.T) {
 	if err := net.Drain(10_000); err != nil {
 		t.Fatal(err)
 	}
-	got := net.Delivered()
+	got := hist.Delivered()
 	if len(got) != 1 || got[0].ID != id || got[0].Payload[0] != 7 {
 		t.Fatalf("delivered %+v", got)
 	}
