@@ -23,13 +23,9 @@ import (
 
 // -rmbsched forces the core scheduler for every network the benchmarks
 // build (experiments construct their own Configs with SchedulerAuto, so a
-// package default is the only practical lever), and -rmbworkers sets the
-// default arc-worker count for -rmbsched=sharded. scripts/bench.sh runs
+// package default is the only practical lever). scripts/bench.sh runs
 // the suite once per scheduler to produce BENCH_baseline.json.
-var (
-	rmbsched   = flag.String("rmbsched", "", `force the core scheduler: "event", "naive" or "sharded" (default: package default)`)
-	rmbworkers = flag.Int("rmbworkers", 0, "default arc workers for -rmbsched=sharded (0 = GOMAXPROCS)")
-)
+var rmbsched = flag.String("rmbsched", "", `force the core scheduler: "event" or "naive" (default: package default)`)
 
 func TestMain(m *testing.M) {
 	flag.Parse()
@@ -39,11 +35,8 @@ func TestMain(m *testing.M) {
 		core.SetDefaultScheduler(core.SchedulerEventDriven)
 	case "naive":
 		core.SetDefaultScheduler(core.SchedulerNaive)
-	case "sharded":
-		core.SetDefaultScheduler(core.SchedulerSharded)
-		core.SetDefaultWorkers(*rmbworkers)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -rmbsched %q (want event, naive or sharded)\n", *rmbsched)
+		fmt.Fprintf(os.Stderr, "unknown -rmbsched %q (want event or naive)\n", *rmbsched)
 		os.Exit(2)
 	}
 	os.Exit(m.Run())
@@ -345,43 +338,6 @@ func BenchmarkLargeRingShift(b *testing.B) {
 	b.ReportMetric(float64(ticks), "ticks")
 }
 
-// BenchmarkLargeRingShiftSharded is the sharded scheduler's P-scaling
-// curve on the BenchmarkLargeRingShift workload: identical traffic,
-// identical (trace-equal) results, stepping fanned across P arc workers.
-// P=1 resolves below two arcs and measures the event-path fallback, so
-// the P=1 row doubles as the coordination-overhead baseline. Speedups
-// are only meaningful where GOMAXPROCS >= P; on a single-core runner
-// every P degenerates to the same serialized work plus barrier cost
-// (EXPERIMENTS.md records the measured numbers honestly).
-func BenchmarkLargeRingShiftSharded(b *testing.B) {
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			var ticks sim.Tick
-			for i := 0; i < b.N; i++ {
-				n, err := core.NewNetwork(core.Config{
-					Nodes: 256, Buses: 8, Seed: uint64(i) + 1,
-					Scheduler: core.SchedulerSharded, Workers: p,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pat := workload.RingShift(256, 8)
-				for _, d := range pat.Demands {
-					if _, err := n.Send(core.NodeID(d.Src), core.NodeID(d.Dst), make([]uint64, 16)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := n.Drain(5_000_000); err != nil {
-					b.Fatal(err)
-				}
-				ticks = n.Now()
-				n.Close()
-			}
-			b.ReportMetric(float64(ticks), "ticks")
-		})
-	}
-}
-
 // runHugeRingSaturated is one iteration body of the saturated-ring
 // benchmarks: an N-node, 8-bus ring routing the shift-by-8 pattern
 // (ring load exactly k, so capacity is fully subscribed) with 64-flit
@@ -410,7 +366,6 @@ func runHugeRingSaturated(b *testing.B, cfg core.Config, nodes int) {
 			b.Fatal(err)
 		}
 		ticks = n.Now()
-		n.Close()
 	}
 	b.ReportMetric(float64(ticks), "ticks")
 }
@@ -425,21 +380,6 @@ func BenchmarkHugeRingSaturated(b *testing.B) {
 			runHugeRingSaturated(b, core.Config{
 				Nodes: nodes, Buses: 8, Scheduler: core.SchedulerEventDriven,
 			}, nodes)
-		})
-	}
-}
-
-// BenchmarkHugeRingSaturatedSharded is the sharded scheduler's P-scaling
-// curve on the N=1024 saturated workload: identical traffic and
-// (trace-equal) results, stepping fanned across P arc workers. On a
-// single-core runner every P serializes and the curve measures pure
-// coordination overhead; EXPERIMENTS.md records whatever the host gives.
-func BenchmarkHugeRingSaturatedSharded(b *testing.B) {
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			runHugeRingSaturated(b, core.Config{
-				Nodes: 1024, Buses: 8, Scheduler: core.SchedulerSharded, Workers: p,
-			}, 1024)
 		})
 	}
 }

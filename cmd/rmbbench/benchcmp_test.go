@@ -14,7 +14,7 @@ func writeBaseline(t *testing.T) string {
 	p := filepath.Join(t.TempDir(), "baseline.json")
 	const body = `{
   "comment": "test fixture",
-  "sharded": {
+  "event": {
     "runs": [
       { "name": "LargeRingShift", "iterations": 100, "metrics": { "ns/op": 500000 } },
       { "name": "LargeRingShift", "iterations": 100, "metrics": { "ns/op": 400000 } },
@@ -38,7 +38,7 @@ BenchmarkBrandNew-8         10    99 ns/op
 PASS
 `
 	var out strings.Builder
-	regressions, err := benchCmp(writeBaseline(t), "sharded", 2, strings.NewReader(in), &out)
+	regressions, err := benchCmp(writeBaseline(t), "event", 2, strings.NewReader(in), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ PASS
 	// the summary counts only the compared pairs.
 	for _, want := range []string{
 		"LargeRingShift", "420000", "not in baseline, skipped",
-		"benchcmp: 2 compared against \"sharded\", 0 regression(s)",
+		"benchcmp: 2 compared against \"event\", 0 regression(s)",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
@@ -63,7 +63,7 @@ func TestBenchCmpFlagsRegression(t *testing.T) {
 BenchmarkSendDrainSmall-8   1000  21000 ns/op
 `
 	var out strings.Builder
-	regressions, err := benchCmp(writeBaseline(t), "sharded", 2, strings.NewReader(in), &out)
+	regressions, err := benchCmp(writeBaseline(t), "event", 2, strings.NewReader(in), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,16 +82,16 @@ func TestBenchCmpErrors(t *testing.T) {
 
 	if _, err := benchCmp(base, "nosuch", 2, strings.NewReader(in), &strings.Builder{}); err == nil {
 		t.Error("unknown section did not error")
-	} else if !strings.Contains(err.Error(), `"nosuch"`) || !strings.Contains(err.Error(), "sharded") {
+	} else if !strings.Contains(err.Error(), `"nosuch"`) || !strings.Contains(err.Error(), "event") {
 		t.Errorf("unknown-section error does not name the section and the candidates: %v", err)
 	}
 
-	if _, err := benchCmp(base, "sharded", 0, strings.NewReader(in), &strings.Builder{}); err == nil {
+	if _, err := benchCmp(base, "event", 0, strings.NewReader(in), &strings.Builder{}); err == nil {
 		t.Error("zero tolerance did not error")
 	}
 
 	disjoint := "BenchmarkUnrelated-8   100   1 ns/op\n"
-	if _, err := benchCmp(base, "sharded", 2, strings.NewReader(disjoint), &strings.Builder{}); err == nil {
+	if _, err := benchCmp(base, "event", 2, strings.NewReader(disjoint), &strings.Builder{}); err == nil {
 		t.Error("disjoint benchmark sets did not error")
 	}
 }
@@ -184,11 +184,11 @@ func TestBenchCmpAllocRegression(t *testing.T) {
 
 // TestBenchCmpAgainstRepoBaseline pins the tool to the real
 // BENCH_baseline.json layout: the committed file must stay parseable and
-// its sharded section must still carry the smoke benchmark CI compares.
+// its event section must still carry the smoke benchmark CI compares.
 func TestBenchCmpAgainstRepoBaseline(t *testing.T) {
 	in := "BenchmarkLargeRingShift-8   100   500000 ns/op\n"
 	var out strings.Builder
-	regressions, err := benchCmp(filepath.Join("..", "..", "BENCH_baseline.json"), "sharded", 1e9, strings.NewReader(in), &out)
+	regressions, err := benchCmp(filepath.Join("..", "..", "BENCH_baseline.json"), "event", 1e9, strings.NewReader(in), &out)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 //	rmbbench -all       # print every artifact in DESIGN.md order
 //	rmbbench -all -j 8  # same, computing artifacts on 8 workers
 //	go test -bench . -benchtime=1x | rmbbench -benchjson
-//	go test -bench . -count=3 | rmbbench -benchcmp BENCH_baseline.json -section sharded
+//	go test -bench . -count=3 | rmbbench -benchcmp BENCH_baseline.json -section event
 //
 // -benchcmp compares `go test -bench` text on stdin against one section
 // of a baseline JSON file and exits 1 if any benchmark's best ns/op
@@ -36,7 +36,7 @@ func main() {
 	jobs := flag.Int("j", 1, "experiments to compute in parallel with -all (0 = GOMAXPROCS)")
 	benchjson := flag.Bool("benchjson", false, "parse `go test -bench` text on stdin into JSON on stdout")
 	benchcmp := flag.String("benchcmp", "", "compare `go test -bench` text on stdin against this baseline JSON file")
-	section := flag.String("section", "sharded", "baseline section to compare against with -benchcmp")
+	section := flag.String("section", "event", "baseline section to compare against with -benchcmp")
 	tolerance := flag.Float64("tolerance", 8, "fail -benchcmp when ns/op exceeds baseline by this factor")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")

@@ -66,48 +66,53 @@ func TestResumeFromDirSetsAsideUnsupported(t *testing.T) {
 	}
 }
 
-// TestResumeFromDirSetsAsideV2: testdata/v2-drained.ckpt is a real job
-// checkpoint an earlier rmbd drained mid-run, in the version 2 format
-// whose core carried the whole message history. Start-up must set it
-// aside, bytes intact, and carry on with the current-format file beside
-// it.
+// TestResumeFromDirSetsAsideV2: testdata/v2-drained.ckpt and
+// testdata/v3-drained.ckpt are real job checkpoints earlier rmbd builds
+// drained mid-run. Version 2's core carried the whole message history;
+// version 3's spec and core Config section still named the retired
+// Workers field. Start-up must set each aside, bytes intact, and carry on
+// with the current-format file beside it.
 func TestResumeFromDirSetsAsideV2(t *testing.T) {
-	v2, err := os.ReadFile(filepath.Join("testdata", "v2-drained.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := service.DecodeCheckpoint(v2); !errors.Is(err, service.ErrUnsupportedVersion) {
-		t.Fatalf("DecodeCheckpoint(v2) = %v, want ErrUnsupportedVersion", err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "j1.ckpt"), v2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeCheckpointFile(dir, &service.Checkpoint{ID: "j2", Spec: smallSpec()}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := service.NewManager(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	for _, name := range []string{"v2-drained.ckpt", "v3-drained.ckpt"} {
+		t.Run(name, func(t *testing.T) {
+			old, err := os.ReadFile(filepath.Join("testdata", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := service.DecodeCheckpoint(old); !errors.Is(err, service.ErrUnsupportedVersion) {
+				t.Fatalf("DecodeCheckpoint(%s) = %v, want ErrUnsupportedVersion", name, err)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "j1.ckpt"), old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeCheckpointFile(dir, &service.Checkpoint{ID: "j2", Spec: smallSpec()}); err != nil {
+				t.Fatal(err)
+			}
+			m, err := service.NewManager(1, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
 
-	n, err := resumeFromDir(m, dir)
-	if err != nil {
-		t.Fatalf("resumeFromDir refused to start: %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("resumed %d checkpoints, want 1", n)
-	}
-	kept, err := os.ReadFile(filepath.Join(dir, "j1.ckpt.unsupported"))
-	if err != nil {
-		t.Fatalf("v2 checkpoint not set aside: %v", err)
-	}
-	if !bytes.Equal(kept, v2) {
-		t.Fatal("v2 checkpoint's bytes changed when it was set aside")
-	}
-	if _, err := m.Get("j2"); err != nil {
-		t.Fatalf("current-format checkpoint not resumed: %v", err)
+			n, err := resumeFromDir(m, dir)
+			if err != nil {
+				t.Fatalf("resumeFromDir refused to start: %v", err)
+			}
+			if n != 1 {
+				t.Fatalf("resumed %d checkpoints, want 1", n)
+			}
+			kept, err := os.ReadFile(filepath.Join(dir, "j1.ckpt.unsupported"))
+			if err != nil {
+				t.Fatalf("old checkpoint not set aside: %v", err)
+			}
+			if !bytes.Equal(kept, old) {
+				t.Fatal("old checkpoint's bytes changed when it was set aside")
+			}
+			if _, err := m.Get("j2"); err != nil {
+				t.Fatalf("current-format checkpoint not resumed: %v", err)
+			}
+		})
 	}
 }
 

@@ -38,8 +38,7 @@ func main() {
 	payload := flag.Int("payload", 8, "data flits per message")
 	seed := flag.Uint64("seed", 1, "deterministic seed")
 	mode := flag.String("mode", "lockstep", "compaction cycle mode: lockstep or async")
-	sched := flag.String("sched", "event", "tick scheduler: event, naive, sharded")
-	jobs := flag.Int("j", 0, "arc workers for -sched sharded (0 = GOMAXPROCS)")
+	sched := flag.String("sched", "event", "tick scheduler: event, naive")
 	headRule := flag.String("head", "flexible", "header advance rule: flexible, straight, strict-top")
 	noCompact := flag.Bool("no-compaction", false, "disable the compaction protocol")
 	traceNet := flag.Bool("trace", false, "print occupancy snapshots while routing")
@@ -144,9 +143,6 @@ func main() {
 		cfg.Scheduler = core.SchedulerEventDriven
 	case "naive":
 		cfg.Scheduler = core.SchedulerNaive
-	case "sharded":
-		cfg.Scheduler = core.SchedulerSharded
-		cfg.Workers = *jobs
 	default:
 		fmt.Fprintf(os.Stderr, "rmbsim: unknown scheduler %q\n", *sched)
 		os.Exit(2)

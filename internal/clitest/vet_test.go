@@ -47,11 +47,14 @@ func TestRmbvetList(t *testing.T) {
 	for _, name := range []string{
 		"determinism", "isolation", "exhaustive", "inc-ownership",
 		"atomic-discipline", "unbounded-send",
-		"shard-commit", "stats-exhaustive", "hotpath-alloc", "waiver-audit",
+		"stats-exhaustive", "hotpath-alloc", "waiver-audit",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list missing analyzer %q:\n%s", name, out)
 		}
+	}
+	if strings.Contains(out, "shard-commit") {
+		t.Errorf("-list still names the retired shard-commit analyzer:\n%s", out)
 	}
 }
 

@@ -32,7 +32,7 @@ package core
 //     the reconstruction wholesale, so a corrupt checkpoint surfaces as
 //     an error instead of undefined simulation.
 //
-// The format (version 3) is binary and length-prefixed:
+// The format (version 4) is binary and length-prefixed:
 //
 //	magic    8 bytes, "rmb-ckpt"
 //	version  1 byte, CheckpointVersion
@@ -41,19 +41,21 @@ package core
 //
 // Bulk state — window records and payloads, INCs, live buses, queued and
 // retrying requests, the wake wheel — is written as zigzag-varint columns
-// (encoding/binary), with tick and ID columns as deltas. Config, Stats and each pending FaultEvent are length-prefixed
-// JSON sub-sections, so a field added to those structs later travels
-// with them instead of being dropped silently. Every length is checked
-// against the bytes that remain before anything is allocated for it, and
-// the reader accepts only the writer's own byte form, so a restored
-// network re-marshals byte for byte. Any other version — every JSON
-// (version 1) checkpoint, and every version 2 checkpoint, which carried
-// the whole message history — is refused with ErrUnsupportedVersion:
-// checkpoints are drain artefacts, not archives, so there is one decoder.
+// (encoding/binary), with tick and ID columns as deltas. Config, Stats
+// and each pending FaultEvent are length-prefixed JSON sub-sections, so a
+// field added to those structs later travels with them instead of being
+// dropped silently. Every length is checked against the bytes that remain
+// before anything is allocated for it, and the reader accepts only the
+// writer's own byte form, so a restored network re-marshals byte for
+// byte. Any other version is refused with ErrUnsupportedVersion: every
+// JSON (version 1) checkpoint, every version 2 checkpoint, which carried
+// the whole message history, and every version 3 checkpoint, whose
+// Config section still held the retired Workers field. Checkpoints are
+// drain artefacts, not archives, so there is one decoder.
 //
 // Checkpoints are only valid at tick boundaries — between Step calls —
-// where the per-phase scratch (xferScan, shardFlags, the dead-bus
-// backlog) is provably empty.
+// where the per-phase scratch (xferScan, the dead-bus backlog) is
+// provably empty.
 
 import (
 	"bytes"
@@ -73,7 +75,7 @@ import (
 // CheckpointVersion is the current checkpoint format version. Readers
 // reject other versions outright: the format mirrors internal state, so
 // cross-version migration would be a false promise.
-const CheckpointVersion = 3
+const CheckpointVersion = 4
 
 // checkpointMagic opens every checkpoint; ckptHeaderLen covers the magic,
 // the version byte and the body checksum.
@@ -361,7 +363,7 @@ type ckptInt interface {
 	~int | ~int8 | ~int32 | ~int64 | ~uint8 | ~uint64
 }
 
-// ckptCodec moves a ckptState through the version 3 body in one
+// ckptCodec moves a ckptState through the version 4 body in one
 // direction: the writer (dec == false) appends to buf, the reader
 // (dec == true) consumes buf from off. The layout is described once, in
 // state, and run by both, so the two cannot drift apart. The reader
@@ -556,7 +558,7 @@ func (c *ckptCodec) jsonSection(v any) {
 	}
 }
 
-// state is the version 3 body layout, section by section.
+// state is the version 4 body layout, section by section.
 func (c *ckptCodec) state(st *ckptState) {
 	c.jsonSection(&st.Cfg)
 	num(c, &st.Now)

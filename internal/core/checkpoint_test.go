@@ -53,7 +53,7 @@ func driveBernoulliTicks(t *testing.T, n *Network, wrng *sim.RNG, from, to sim.T
 }
 
 // checkpointZooConfig builds the seed-varied configuration the checkpoint
-// differential sweeps: both sync modes, all three schedulers, varying
+// differential sweeps: both sync modes, both schedulers, varying
 // compaction periods, Dack windows, the disabled head-timeout valve, and
 // a chaos fault schedule whose horizon extends well past both the
 // checkpoint tick and the end of the run, so fault timers are pending in
@@ -75,14 +75,9 @@ func checkpointZooConfig(seed uint64) Config {
 			MeanUp:      250,
 		}),
 	}
-	switch seed % 3 {
-	case 0:
-		cfg.Scheduler = SchedulerEventDriven
-	case 1:
+	cfg.Scheduler = SchedulerEventDriven
+	if seed%3 == 1 {
 		cfg.Scheduler = SchedulerNaive
-	case 2:
-		cfg.Scheduler = SchedulerSharded
-		cfg.Workers = 3
 	}
 	if seed%5 == 0 {
 		cfg.HeadTimeout = HeadTimeoutDisabled
@@ -508,11 +503,11 @@ var updateCorpus = flag.Bool("update", false, "rewrite the committed fuzz seed c
 // TestCheckpointFuzzCorpus keeps FuzzUnmarshalCheckpoint's committed seed
 // corpus made of real checkpoints in the current format: every generated
 // file must restore. Run with -update to regenerate them after a format
-// change. The v2- seeds are real checkpoints of an older format, kept as
-// inputs the reader must refuse as unsupported.
+// change. The v2- and v3- seeds are real checkpoints of older formats,
+// kept as inputs the reader must refuse as unsupported.
 func TestCheckpointFuzzCorpus(t *testing.T) {
 	seeds := map[string]func() []byte{
-		// Lockstep, event scheduler, chaos faults pending and applied.
+		// Lockstep, naive scheduler, chaos faults pending and applied.
 		"lockstep-chaos": func() []byte { return checkpointAt(t, checkpointZooConfig(4), 5, 120) },
 		// Async mode (dirty set, jittered FSMs), naive scheduler, chaos.
 		"async-chaos": func() []byte { return checkpointAt(t, checkpointZooConfig(1), 7, 120) },
@@ -536,13 +531,15 @@ func TestCheckpointFuzzCorpus(t *testing.T) {
 		}
 		n.Close()
 	}
-	old, err := filepath.Glob(filepath.Join(dir, "v2-*"))
-	if err != nil || len(old) == 0 {
-		t.Fatalf("no v2 seed in %s: %v", dir, err)
-	}
-	for _, path := range old {
-		if _, err := UnmarshalCheckpoint(readCorpusSeed(t, path)); !errors.Is(err, ErrUnsupportedVersion) {
-			t.Fatalf("%s: got %v, want ErrUnsupportedVersion", path, err)
+	for _, v := range []string{"v2", "v3"} {
+		old, err := filepath.Glob(filepath.Join(dir, v+"-*"))
+		if err != nil || len(old) == 0 {
+			t.Fatalf("no %s seed in %s: %v", v, dir, err)
+		}
+		for _, path := range old {
+			if _, err := UnmarshalCheckpoint(readCorpusSeed(t, path)); !errors.Is(err, ErrUnsupportedVersion) {
+				t.Fatalf("%s: got %v, want ErrUnsupportedVersion", path, err)
+			}
 		}
 	}
 }

@@ -112,10 +112,7 @@ func (n *Network) noteQuiescent(vb *VirtualBus) {
 // segment below, the ±1 bound against both neighbouring hops, and the
 // strict-top head pin. Faulty segments read as permanently occupied, so
 // buses sink around them. The function performs pure reads of shared
-// state plus writes to plan only, so the sharded scheduler's arc workers
-// may call it concurrently on distinct buses with arc-local plan
-// buffers; appending per arc in bus order and applying the arc plans in
-// arc order reproduces the sequential plan order exactly.
+// state plus writes to plan only.
 //
 //rmbvet:hotpath
 func (n *Network) planBusMoves(vb *VirtualBus, cyc int, strictTop bool, plan []plannedMove) ([]plannedMove, bool) {

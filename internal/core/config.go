@@ -52,17 +52,6 @@ const (
 	// SchedulerNaive rescans every subsystem every tick: the reference
 	// implementation the event-driven scheduler is tested against.
 	SchedulerNaive
-	// SchedulerSharded runs the event-driven semantics with the per-tick
-	// phase kernels fanned across a persistent pool of arc workers
-	// (Config.Workers arcs, normalized through parallel.Workers): the N
-	// INCs and the active-bus set are partitioned into contiguous arcs,
-	// the read-mostly kernels (data pumping, compaction planning, the
-	// insertion candidate scan) run one arc per worker behind a barrier,
-	// and every cross-arc effect commits in fixed arc order — so traces
-	// are tick-for-tick identical to SchedulerEventDriven for any worker
-	// count (see DESIGN.md §10). Async mode, rings below 3 nodes, and a
-	// resolved worker count below 2 fall back to the event-driven path.
-	SchedulerSharded
 )
 
 // String names the scheduler.
@@ -74,8 +63,6 @@ func (s SchedulerMode) String() string {
 		return "event"
 	case SchedulerNaive:
 		return "naive"
-	case SchedulerSharded:
-		return "sharded"
 	default:
 		return fmt.Sprintf("SchedulerMode(%d)", uint8(s))
 	}
@@ -95,21 +82,6 @@ func SetDefaultScheduler(m SchedulerMode) SchedulerMode {
 		m = SchedulerEventDriven
 	}
 	defaultScheduler = m
-	return prev
-}
-
-// defaultWorkers is what Config.Workers == 0 resolves to for
-// SchedulerSharded. Zero defers to parallel.Workers' GOMAXPROCS rule.
-var defaultWorkers = 0
-
-// SetDefaultWorkers changes the worker count a zero Config.Workers
-// resolves to under SchedulerSharded and returns the previous default.
-// Like SetDefaultScheduler it is a process-wide harness knob (see
-// bench_test.go's -rmbworkers flag); it must not be called concurrently
-// with NewNetwork.
-func SetDefaultWorkers(w int) int {
-	prev := defaultWorkers
-	defaultWorkers = w
 	return prev
 }
 
@@ -162,16 +134,10 @@ type Config struct {
 	Mode SyncMode
 	// HeadRule selects the header advance policy.
 	HeadRule HeadRule
-	// Scheduler selects the Step implementation (event-driven, the naive
-	// reference, or the sharded parallel stepper). SchedulerAuto (the
-	// zero value) resolves to the package default; observable behaviour
-	// is identical in every mode.
+	// Scheduler selects the Step implementation (event-driven or the
+	// naive reference). SchedulerAuto (the zero value) resolves to the
+	// package default; observable behaviour is identical in both.
 	Scheduler SchedulerMode
-	// Workers is the arc-worker count for SchedulerSharded, normalized
-	// through parallel.Workers (values <= 0 select GOMAXPROCS) and
-	// clamped to Nodes. A resolved count below 2 falls back to the
-	// sequential event-driven path. Ignored by the other schedulers.
-	Workers int
 
 	// DisableCompaction switches the compaction protocol off entirely
 	// (for the ablation benchmark). New circuits then stay on the
@@ -267,7 +233,7 @@ func (c Config) Validate() error {
 	if c.HeadTimeout < HeadTimeoutDisabled {
 		return fmt.Errorf("core: HeadTimeout %d invalid; use ticks, 0 for default, or HeadTimeoutDisabled", c.HeadTimeout)
 	}
-	if c.Scheduler > SchedulerSharded {
+	if c.Scheduler > SchedulerNaive {
 		return fmt.Errorf("core: unknown scheduler mode %d", c.Scheduler)
 	}
 	if err := c.Faults.Validate(c.Nodes, c.Buses); err != nil {
@@ -323,9 +289,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Scheduler == SchedulerAuto {
 		c.Scheduler = defaultScheduler
-	}
-	if c.Scheduler == SchedulerSharded && c.Workers == 0 {
-		c.Workers = defaultWorkers
 	}
 	return c
 }

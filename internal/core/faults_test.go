@@ -462,7 +462,6 @@ func TestEmptyFaultPlanIsSeedIdentical(t *testing.T) {
 // identical between the naive and event-driven schedulers. CI runs it
 // under -race.
 func TestChaosSoak(t *testing.T) {
-	forceShardParallel(t)
 	for _, m := range []struct {
 		name string
 		mode SyncMode
@@ -488,13 +487,6 @@ func TestChaosSoak(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d: chaos run diverged between schedulers:\n event: t=%v %+v\n naive: t=%v %+v",
 						seed, got.now, got.stats, want.now, want.stats)
-				}
-				cfg.Scheduler = SchedulerSharded
-				cfg.Workers = 3
-				sharded := runPermutationWorkload(t, cfg, seed)
-				if !reflect.DeepEqual(sharded, want) {
-					t.Fatalf("seed %d: chaos run diverged between schedulers:\n sharded: t=%v %+v\n naive:   t=%v %+v",
-						seed, sharded.now, sharded.stats, want.now, want.stats)
 				}
 				if want.stats.FaultTeardowns == 0 && want.stats.FaultInsertRefusals == 0 &&
 					want.stats.FaultDestRefusals == 0 {

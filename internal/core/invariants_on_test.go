@@ -130,7 +130,7 @@ func TestResetCorruptionCanary(t *testing.T) {
 	})
 }
 
-// TestInvariantHarnessSoakWithFaults drives the sharded scheduler through
+// TestInvariantHarnessSoakWithFaults drives the event scheduler through
 // chaos fault plans with the harness live: every tick of every seed is
 // audited for occupancy, conservation, retry boundedness and
 // faulty-segment unclaimability.
@@ -140,7 +140,7 @@ func TestInvariantHarnessSoakWithFaults(t *testing.T) {
 			Nodes:     12,
 			Buses:     3,
 			Seed:      seed,
-			Scheduler: SchedulerSharded,
+			Scheduler: SchedulerEventDriven,
 			Faults: ChaosPlan(12, 3, ChaosOptions{
 				Seed:        seed*77 + 3,
 				Horizon:     1500,

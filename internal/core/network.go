@@ -119,8 +119,8 @@ type Network struct {
 
 	// Structure-of-arrays mirrors of the hot per-tick state; see soa.go.
 	// The pointer structs above stay authoritative — these are derived
-	// views maintained at their sources' write sites so the event and
-	// sharded schedulers can run phase kernels as word-parallel scans.
+	// views maintained at their sources' write sites so the event
+	// scheduler can run phase kernels as word-parallel scans.
 	occBits      []bitset      // occBits[l] bit h: segment (h,l) occupied
 	faultyBits   []bitset      // faultyBits[l] bit h: segment (h,l) fault-disabled
 	busyBits     []bitset      // busyBits[l] = occBits[l] | faultyBits[l] (segUsable's single load)
@@ -150,11 +150,6 @@ type Network struct {
 	reqFree      []*request
 	reqArena     []request
 	payloadArena wordArena
-	// sh is the sharded scheduler's runtime (arc-worker pool, per-arc
-	// scratch); nil unless Config.Scheduler == SchedulerSharded resolved
-	// to 2+ arcs (see initShard in sharded.go). When nil, Step takes the
-	// sequential phase path.
-	sh *shardState
 
 	// invariantChecks counts checkTickInvariants executions; always zero
 	// unless the build carries the `invariants` tag (see invariants_on.go
@@ -229,9 +224,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	n.growWindow(cfg.Nodes)
 	n.naive = cfg.Scheduler == SchedulerNaive
-	if cfg.Scheduler == SchedulerSharded {
-		n.initShard()
-	}
 	if cfg.Mode == Async {
 		n.asyncDirty = make([]bool, cfg.Nodes)
 	}
@@ -362,29 +354,19 @@ func (n *Network) Step() bool {
 	if n.retries.RunDue(now) > 0 {
 		progress = true
 	}
-	if n.sh != nil {
-		// Sharded stepper: same phases, with the read-mostly kernels
-		// fanned across arc workers and cross-arc effects committed in
-		// fixed arc order (see sharded.go). Trace-identical to the
-		// sequential path below by construction.
-		if n.stepPhasesSharded(now) {
+	if n.stepBackwardSignals(now) {
+		progress = true
+	}
+	if n.stepForward(now) {
+		progress = true
+	}
+	if !n.cfg.DisableCompaction {
+		if n.stepCompaction(now) {
 			progress = true
 		}
-	} else {
-		if n.stepBackwardSignals(now) {
-			progress = true
-		}
-		if n.stepForward(now) {
-			progress = true
-		}
-		if !n.cfg.DisableCompaction {
-			if n.stepCompaction(now) {
-				progress = true
-			}
-		}
-		if n.stepInsertion(now) {
-			progress = true
-		}
+	}
+	if n.stepInsertion(now) {
+		progress = true
 	}
 	// Pending timers guarantee future progress: retry backoffs will fire,
 	// and with the head timeout armed every blocked header eventually
@@ -411,18 +393,10 @@ func (n *Network) Step() bool {
 	return progress
 }
 
-// Close releases the sharded scheduler's worker pool, if any. The
-// network stays usable: subsequent Steps take the sequential
-// event-driven path, which produces identical results. Close is
-// idempotent and a no-op for the other schedulers; a finalizer on the
-// pool also reclaims the workers if Close is never called, so forgetting
-// it leaks nothing permanently.
-func (n *Network) Close() {
-	if n.sh != nil {
-		n.sh.pool.Close()
-		n.sh = nil
-	}
-}
+// Close releases nothing: a Network holds no goroutines, files or other
+// resources outside the Go heap. It is kept so existing callers compile;
+// the network stays usable after it, and calling it is optional.
+func (n *Network) Close() {}
 
 // Drain runs the network until it is idle or the tick budget is spent.
 // With the event-driven scheduler, sim.Run fast-forwards across stretches
@@ -648,10 +622,7 @@ func (n *Network) allocReq() *request {
 
 // setState transitions a bus's lifecycle state, keeping the forward /
 // backward phase-population counters and the SoA phase bitsets in sync.
-// Every State write on a registered bus must go through here (the
-// sharded forward worker's direct T→FP write is the one audited
-// exception: both states sit in the same populations, so every counter
-// and bit is unchanged by it).
+// Every State write on a registered bus must go through here.
 func (n *Network) setState(vb *VirtualBus, s VBState) {
 	switch vb.State {
 	case VBExtending:

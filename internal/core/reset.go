@@ -150,16 +150,6 @@ func (n *Network) Reset(cfg Config) error {
 	}
 	n.wheel = n.wheel[:0]
 
-	// The sharded runtime is rebuilt from the new config: worker count or
-	// scheduler may have changed, and initShard owns the fallback rules.
-	if n.sh != nil {
-		n.sh.pool.Close()
-		n.sh = nil
-	}
-	if cfg.Scheduler == SchedulerSharded {
-		n.initShard()
-	}
-
 	if cfg.Recorder != nil {
 		n.rec = cfg.Recorder
 		n.recOn = true

@@ -13,7 +13,7 @@ import (
 
 // TestResetMatchesFresh is the tentpole correctness proof for in-place
 // network reuse: for every seed in the checkpoint zoo (both sync modes,
-// all three schedulers, chaos fault plans, varied protocol knobs), a
+// both schedulers, chaos fault plans, varied protocol knobs), a
 // network that previously ran a *different* dirty workload mid-flight
 // and was then Reset must be indistinguishable from NewNetwork(cfg) —
 // first in its immediate full-state checkpoint bytes, then across a full
@@ -355,13 +355,12 @@ func TestResetShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestResetSchedulerCross re-arms across scheduler modes in every
-// direction (event -> sharded -> naive -> event), proving the sharded
-// worker pool tears down and rebuilds cleanly and the naive flag tracks
-// the config.
+// TestResetSchedulerCross re-arms across scheduler modes in both
+// directions (event -> naive -> event), proving the naive flag tracks the
+// config.
 func TestResetSchedulerCross(t *testing.T) {
 	modes := []SchedulerMode{
-		SchedulerEventDriven, SchedulerSharded, SchedulerNaive, SchedulerSharded, SchedulerEventDriven,
+		SchedulerEventDriven, SchedulerNaive, SchedulerEventDriven, SchedulerNaive, SchedulerEventDriven,
 	}
 	n, err := NewNetwork(Config{Nodes: 12, Buses: 3, Seed: 3, Scheduler: SchedulerEventDriven})
 	if err != nil {
@@ -369,7 +368,7 @@ func TestResetSchedulerCross(t *testing.T) {
 	}
 	defer n.Close()
 	for i, m := range modes {
-		cfg := Config{Nodes: 12, Buses: 3, Seed: uint64(i)*7 + 1, Scheduler: m, Workers: 3}
+		cfg := Config{Nodes: 12, Buses: 3, Seed: uint64(i)*7 + 1, Scheduler: m}
 		if err := n.Reset(cfg); err != nil {
 			t.Fatalf("Reset to %v: %v", m, err)
 		}

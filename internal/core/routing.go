@@ -32,7 +32,7 @@ type transferProgress struct {
 func (n *Network) stepBackwardSignals(now sim.Tick) bool {
 	if n.naive {
 		// Reference kernel: the full-rescan walk over the active set.
-		progress := n.stepBackwardRange(now, 0, len(n.active))
+		progress := n.stepBackwardNaive(now)
 		n.sweepRemoved()
 		return progress
 	}
@@ -76,20 +76,14 @@ func (n *Network) stepBackwardSignals(now sim.Tick) bool {
 	return progress
 }
 
-// stepBackwardRange runs the backward kernel over active[lo:hi).
+// stepBackwardNaive runs the backward kernel over the whole active set.
 // Teardowns mark buses terminal in place (the active set is stable), so
-// ranges tile the set exactly; the caller sweeps once after the last
-// range. The kernel is order-sensitive — releasing a hop wakes the bus
-// above it (a read of occupancy other ranges mutate) and completed
-// teardowns draw the retry RNG — so the sharded scheduler runs the
-// ranges sequentially in ascending arc order, which is exactly the
-// full-range walk.
+// the caller sweeps once after the walk.
 //
 //rmbvet:hotpath
-func (n *Network) stepBackwardRange(now sim.Tick, lo, hi int) bool {
+func (n *Network) stepBackwardNaive(now sim.Tick) bool {
 	progress := false
-	for i := lo; i < hi; i++ {
-		vb := n.active[i]
+	for _, vb := range n.active {
 		switch vb.State {
 		case VBHackReturning:
 			progress = true
@@ -250,7 +244,7 @@ func (n *Network) beginTransfer(now sim.Tick, vb *VirtualBus) {
 }
 
 // scheduleTransfer precomputes a transfer's entire flit timetable in
-// closed form, so the event and sharded schedulers never visit the bus
+// closed form, so the event scheduler never visits the bus
 // per tick: the per-tick pump recurrence collapses to
 //
 //	t_0 = now,  t_i = max(t_{i-1} + F, t_{i-W} + 2·span)   (W term when W > 0, i ≥ W)
@@ -310,7 +304,7 @@ func (n *Network) scheduleTransfer(now sim.Tick, vb *VirtualBus) {
 	n.wheelPush(p.ffLaunchAt, vb)
 }
 
-// launchFinal is the event/sharded handler for a transferring bus's
+// launchFinal is the event scheduler's handler for a transferring bus's
 // final-flit-launch wake: the tick-for-tick twin of the transition arm
 // of clockData, minus the per-tick pumping the closed-form schedule
 // already did.
@@ -546,9 +540,8 @@ func (n *Network) clockData(now sim.Tick, vb *VirtualBus) bool {
 
 // pumpData advances the source's data-flit clocking one tick and reports
 // whether the final flit is due to launch now. It touches only vb (and
-// the read-only config), so the sharded scheduler's arc workers may call
-// it concurrently on distinct buses; the state transition the final
-// flit triggers stays with the caller.
+// the read-only config); the state transition the final flit triggers
+// stays with the caller.
 //
 //rmbvet:hotpath
 func (n *Network) pumpData(now sim.Tick, vb *VirtualBus) bool {

@@ -109,18 +109,6 @@ func runPermutationWorkload(t *testing.T, cfg Config, seed uint64) schedulerRunR
 	return res
 }
 
-// forceShardParallel routes every sharded tick through the real worker
-// pool for the duration of a test: the differential workloads are far
-// below the work cutoff that normally gates cross-goroutine dispatch,
-// and the point is to prove the pool path (not the inline fallback)
-// trace-identical — under -race, with real barriers.
-func forceShardParallel(t *testing.T) {
-	t.Helper()
-	prev := shardForceParallel
-	shardForceParallel = true
-	t.Cleanup(func() { shardForceParallel = prev })
-}
-
 // compareRuns requires two runs to be externally indistinguishable:
 // identical final time, Stats, global cycle, per-message records,
 // delivery order and recorded event stream.
@@ -155,13 +143,11 @@ func compareRuns(t *testing.T, label string, got, want schedulerRunResult) {
 	}
 }
 
-// TestSchedulerDifferential asserts the event-driven and sharded
-// schedulers are tick-for-tick indistinguishable from the naive
-// reference: identical final time, Stats, per-message records, delivery
-// order and recorded event stream, across many seeds, in both
-// synchronization modes — the three-way oracle naive ↔ event ↔ sharded.
+// TestSchedulerDifferential asserts the event-driven scheduler is
+// tick-for-tick indistinguishable from the naive reference: identical
+// final time, Stats, per-message records, delivery order and recorded
+// event stream, across many seeds, in both synchronization modes.
 func TestSchedulerDifferential(t *testing.T) {
-	forceShardParallel(t)
 	modes := []struct {
 		name string
 		mode SyncMode
@@ -188,13 +174,6 @@ func TestSchedulerDifferential(t *testing.T) {
 				cfg.Scheduler = SchedulerEventDriven
 				got := runPermutationWorkload(t, cfg, seed)
 				compareRuns(t, fmt.Sprintf("seed %d event", seed), got, want)
-
-				// Three arcs on twelve nodes: interior and boundary nodes
-				// in every arc, with the bus set re-partitioned per tick.
-				cfg.Scheduler = SchedulerSharded
-				cfg.Workers = 3
-				sharded := runPermutationWorkload(t, cfg, seed)
-				compareRuns(t, fmt.Sprintf("seed %d sharded", seed), sharded, want)
 			}
 		})
 	}
@@ -210,7 +189,6 @@ func eventOr(events []string, i int) string {
 // TestSchedulerDifferentialHeadRules covers the head-rule ablations,
 // where compaction quiescence interacts with the strict-top head pin.
 func TestSchedulerDifferentialHeadRules(t *testing.T) {
-	forceShardParallel(t)
 	for _, rule := range []HeadRule{HeadFlexible, HeadStraightOnly, HeadStrictTop} {
 		t.Run(rule.String(), func(t *testing.T) {
 			for seed := uint64(0); seed < 8; seed++ {
@@ -220,10 +198,6 @@ func TestSchedulerDifferentialHeadRules(t *testing.T) {
 				cfg.Scheduler = SchedulerEventDriven
 				got := runPermutationWorkload(t, cfg, seed)
 				compareRuns(t, fmt.Sprintf("seed %d event", seed), got, want)
-				cfg.Scheduler = SchedulerSharded
-				cfg.Workers = 2
-				sharded := runPermutationWorkload(t, cfg, seed)
-				compareRuns(t, fmt.Sprintf("seed %d sharded", seed), sharded, want)
 			}
 		})
 	}
@@ -232,11 +206,10 @@ func TestSchedulerDifferentialHeadRules(t *testing.T) {
 // TestSchedulerDifferentialFaults repeats the trace-identity check with
 // a nonzero fault plan riding in the config: fail/repair episodes tear
 // circuits down mid-flight, refuse insertions and destinations, and the
-// event-driven and sharded schedulers must still match the naive oracle
-// event for event — including fault counters and the recorded fault
+// event-driven scheduler must still match the naive oracle event for
+// event — including fault counters and the recorded fault
 // stream.
 func TestSchedulerDifferentialFaults(t *testing.T) {
-	forceShardParallel(t)
 	modes := []struct {
 		name string
 		mode SyncMode
@@ -269,11 +242,6 @@ func TestSchedulerDifferentialFaults(t *testing.T) {
 				cfg.Scheduler = SchedulerEventDriven
 				got := runPermutationWorkload(t, cfg, seed)
 				compareRuns(t, fmt.Sprintf("seed %d event", seed), got, want)
-
-				cfg.Scheduler = SchedulerSharded
-				cfg.Workers = 3
-				sharded := runPermutationWorkload(t, cfg, seed)
-				compareRuns(t, fmt.Sprintf("seed %d sharded", seed), sharded, want)
 			}
 		})
 	}

@@ -9,11 +9,10 @@ package core
 // tests. The mirrors below are derived views maintained at the exact
 // write sites of their sources (claimSeg/releaseSeg, setState, addVB,
 // sweepRemoved, applyFault, queuePush/queuePop, the port-budget
-// refreshers), so the event and sharded schedulers can run their phase
-// kernels as word-parallel scans: bits.TrailingZeros64 walks over
-// per-level occupancy words, slot-indexed phase-population bitsets, a
-// node bitset for non-empty insertion queues, and one packed status
-// byte per INC. auditMirrors (wired into Audit and the -tags invariants
+// refreshers), so the event scheduler can run its phase kernels as
+// word-parallel scans: bits.TrailingZeros64 walks over per-level
+// occupancy words, slot-indexed phase-population bitsets, a node bitset
+// for non-empty insertion queues, and one packed status byte per INC. auditMirrors (wired into Audit and the -tags invariants
 // harness) pins every mirror to its source after each tick.
 //
 // Layout:
@@ -265,8 +264,8 @@ type wakeEntry struct {
 }
 
 // wheelPush schedules a wake on the manual binary min-heap. The wheel
-// replaces per-tick pumping for transferring buses in the event and
-// sharded schedulers: scheduleTransfer precomputes the whole flit
+// replaces per-tick pumping for transferring buses in the event
+// scheduler: scheduleTransfer precomputes the whole flit
 // timetable, so a bus needs exactly two wakes — final-flit launch and
 // final-flit arrival.
 //

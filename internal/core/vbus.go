@@ -147,13 +147,6 @@ type VirtualBus struct {
 	// progress tracks data-transfer timing; see routing.go.
 	progress transferProgress
 
-	// shardFlags carries per-tick findings from the sharded scheduler's
-	// parallel forward pass (final flit launched / arrived) to its
-	// sequential commit walk, which emits the corresponding events and
-	// delivers in bus-ID order; see sharded.go. Zero outside that window
-	// and in every other scheduler mode.
-	shardFlags uint8
-
 	// compactQuiet counts consecutive lockstep compaction cycles in which
 	// this bus planned no move and nothing it depends on changed. At
 	// compactQuietCycles (both segment parities tried) the bus is provably

@@ -7,8 +7,8 @@ import (
 
 // TestArtifactContents spot-checks that each experiment's output carries
 // the load-bearing content a reader of the paper would look for — beyond
-// the nonempty check of TestAllExperimentsRun and the byte-exact goldens
-// of the static artifacts.
+// the nonempty check of TestAllExperimentsRun and the byte-exact
+// docs/artifacts.txt golden.
 func TestArtifactContents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -48,14 +48,7 @@ func TestArtifactContents(t *testing.T) {
 		id, wants := id, wants
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			e, ok := ByID(id)
-			if !ok {
-				t.Fatalf("unknown experiment %s", id)
-			}
-			out, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+			out := artifactOf(t, id)
 			for _, w := range wants {
 				if !strings.Contains(out, w) {
 					t.Errorf("%s artifact missing %q:\n%s", id, w, out)

@@ -8,18 +8,17 @@ import (
 
 func TestAllExperimentsRun(t *testing.T) {
 	ids := map[string]bool{}
-	for _, e := range All() {
-		e := e
+	for i, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
 			if ids[e.ID] {
 				t.Fatalf("duplicate experiment id %q", e.ID)
 			}
 			ids[e.ID] = true
-			out, err := e.Run()
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
+			a := runArtifacts()[i]
+			if a.err != nil {
+				t.Fatalf("%s: %v", e.ID, a.err)
 			}
-			if strings.TrimSpace(out) == "" {
+			if strings.TrimSpace(a.out) == "" {
 				t.Fatalf("%s produced empty output", e.ID)
 			}
 		})

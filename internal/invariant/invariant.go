@@ -10,8 +10,8 @@
 // checkTickInvariants compiles to an empty, inlined-away method in the
 // default build — BENCH_baseline.json deltas prove the no-op (CI's
 // bench smoke asserts it). With `-tags invariants`, every Step of every
-// scheduler (naive, event, sharded) runs the full assertion set, so the
-// 32-seed three-way differential tests double as invariant soaks.
+// scheduler (naive, event) runs the full assertion set, so the 32-seed
+// scheduler differential tests double as invariant soaks.
 //
 // Violations are reported by panicking with a *Violation: an invariant
 // breach means simulator state is corrupt and no later result can be

@@ -6,15 +6,14 @@ import (
 	"sort"
 )
 
-// This file is the small intra-package call-graph machinery shared by the
-// dataflow analyzers (shard-commit, hotpath-alloc): both start from a set
-// of root function bodies and need every package-local function reachable
-// from them, in a deterministic order. The walk is intentionally
-// intra-package — cross-package hot callees (internal/sim, internal/shard)
-// are governed by their own tiers' analyzers — and intentionally static:
-// a call through a function value or interface is not followed, which is
-// the conservative direction for both analyzers (they may miss, never
-// misattribute).
+// This file is the small intra-package call-graph machinery of the
+// hotpath-alloc analyzer: it starts from a set of root function bodies
+// and needs every package-local function reachable from them, in a
+// deterministic order. The walk is intentionally intra-package —
+// cross-package hot callees (internal/sim) are governed by their own
+// tiers' analyzers — and intentionally static: a call through a function
+// value or interface is not followed, which is the conservative
+// direction (it may miss, never misattribute).
 
 // funcDecls maps each package-level function or method object to its
 // declaration, the node table a call-graph walk resolves callees against.
@@ -97,26 +96,4 @@ func reachableFrom(pkg *Package, decls map[*types.Func]*ast.FuncDecl, roots []re
 		}
 	}
 	return out
-}
-
-// rootIdent peels selectors, indexes, derefs and parens down to the
-// identifier an lvalue or access chain hangs off, or nil if the chain
-// bottoms out in something else (a call result, a literal, ...).
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }

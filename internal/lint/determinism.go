@@ -9,15 +9,11 @@ import (
 // Tier membership for the determinism analyzer. The strict tier is the
 // cycle-accurate simulator: identical configuration and seed must yield
 // identical traces, which is what makes the paper's Table/Figure
-// reproductions and the conformance tests meaningful. internal/shard is
-// in the strict tier precisely because it is the one place goroutines
-// touch simulator state: its audited //rmbvet:allow waivers are the
-// complete inventory of go statements in the cycle-accurate tier, and
-// each must argue why the barrier discipline keeps traces bit-identical.
-// The async tier may pace itself with timers, but must never read the
-// wall clock into protocol state (held headers, retry bookkeeping),
-// because expiry decisions must be expressible in logical ticks to be
-// testable.
+// reproductions and the conformance tests meaningful. It holds no
+// goroutines at all. The async tier may pace itself with timers, but must
+// never read the wall clock into protocol state (held headers, retry
+// bookkeeping), because expiry decisions must be expressible in logical
+// ticks to be testable.
 //
 // Concurrency above the simulator lives outside these tiers, on the far
 // side of the Recorder/Snapshot seam: internal/parallel fans whole
@@ -27,7 +23,7 @@ import (
 // cannot perturb a run's trace — which is exactly why they need no
 // waivers and stay out of the tier lists above.
 var (
-	strictDeterministicTiers = []string{"internal/core", "internal/sim", "internal/flit", "internal/shard"}
+	strictDeterministicTiers = []string{"internal/core", "internal/sim", "internal/flit"}
 	clockFreeTiers           = []string{"internal/async"}
 )
 
@@ -50,16 +46,12 @@ var bannedImports = map[string]string{
 func analyzerDeterminism() *Analyzer {
 	a := &Analyzer{
 		Name: "determinism",
-		Doc: "The cycle-accurate tier (internal/core, internal/sim, internal/flit, " +
-			"internal/shard) must be bit-reproducible for a given Config and Seed: no " +
-			"wall-clock reads (time.Now/Since/Until), no timers, no math/rand, no " +
-			"goroutines (the OS scheduler is a nondeterminism source; fan independent " +
-			"simulations out via internal/parallel instead), and no iteration over " +
-			"protocol-state maps (Go randomizes map order). The sole sanctioned " +
-			"exception inside the tier is internal/shard's arc-worker pool, whose go " +
-			"statements carry //rmbvet:allow determinism waivers arguing the " +
-			"plan/commit barrier discipline that keeps sharded traces bit-identical " +
-			"to sequential ones; above the Recorder/Snapshot seam, internal/parallel " +
+		Doc: "The cycle-accurate tier (internal/core, internal/sim, internal/flit) " +
+			"must be bit-reproducible for a given Config and Seed: no wall-clock reads " +
+			"(time.Now/Since/Until), no timers, no math/rand, no goroutines (the OS " +
+			"scheduler is a nondeterminism source; fan independent simulations out via " +
+			"internal/parallel instead), and no iteration over protocol-state maps (Go " +
+			"randomizes map order). Above the Recorder/Snapshot seam, internal/parallel " +
 			"(independent runs) and internal/service (job workers, one network per " +
 			"goroutine) may spawn freely because the tier never imports them. " +
 			"The async tier additionally must not read the wall clock into protocol " +

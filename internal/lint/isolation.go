@@ -42,8 +42,8 @@ func analyzerIsolation() *Analyzer {
 	a := &Analyzer{
 		Name: "isolation",
 		Doc: "The strict deterministic tiers (internal/core, internal/sim, " +
-			"internal/flit, internal/shard) must not import observability or " +
-			"I/O machinery: net, net/http, expvar, runtime/pprof, runtime/trace, " +
+			"internal/flit) must not import observability or I/O machinery: " +
+			"net, net/http, expvar, runtime/pprof, runtime/trace, " +
 			"os/signal, time, or internal/telemetry. Telemetry attaches from the " +
 			"outside — core.Recorder callbacks plus immutable Snapshots pulled " +
 			"between ticks — which is what makes the zero-observer-effect " +

@@ -23,11 +23,6 @@
 //   - unbounded-send: channel sends in the async tier must be select
 //     comm-clauses (shutdown-guarded), preventing the deadlock class that
 //     inbox buffering would otherwise hide.
-//   - shard-commit: code reachable from a runArcs arc-worker closure (the
-//     sharded scheduler's parallel plan phase) must not write shared
-//     network state, draw randomness, or emit recorder events — those
-//     belong to the sequential arc-ordered commit that makes the sharded
-//     scheduler bit-identical to the sequential ones.
 //   - stats-exhaustive: every core.Stats field must survive (Stats).Merge
 //     and be surfaced in both the results JSON totals and the rmbsweep
 //     aggregate table, so adding a counter cannot silently fall out of
@@ -95,7 +90,6 @@ func Analyzers() []*Analyzer {
 		analyzerIncOwnership(),
 		analyzerAtomicDiscipline(),
 		analyzerUnboundedSend(),
-		analyzerShardCommit(),
 		analyzerStatsExhaustive(),
 		analyzerHotpathAlloc(),
 		analyzerStructuredLog(),

@@ -7,7 +7,7 @@ import (
 
 // analyzerStatsExhaustive proves every core.Stats counter survives the
 // whole reporting pipeline: the keyed composite in (Stats).Merge (so
-// sharded/replicated aggregation drops nothing), the results JSON totals
+// replicated aggregation drops nothing), the results JSON totals
 // (internal/results), and the rmbsweep aggregate table. Adding a counter
 // to Stats and forgetting one of those hops used to be caught — for Merge
 // only — by a reflection test in internal/duplex; this analyzer replaces
@@ -97,7 +97,7 @@ func analyzerStatsExhaustive() *Analyzer {
 		}
 		if mergeFn == nil {
 			if d, ok := diag(m, pkg, a.Name, tn.Pos(),
-				"Stats has no Merge method: aggregation across shards and replications would drop every counter"); ok {
+				"Stats has no Merge method: aggregation across replications would drop every counter"); ok {
 				out = append(out, d)
 			}
 		} else {

@@ -334,7 +334,13 @@ func (d *Driver) Result() Result {
 
 	// Latencies are integer ticks, so the Sample's float sum is exact in
 	// any order and its percentiles sort: rebuilt from the histogram, it
-	// has the Count, Mean and percentiles of the per-message fold.
+	// has the Count, Mean and percentiles of the per-message fold. The
+	// counts are summed first so the sample is sized in one allocation.
+	total := 0
+	for _, c := range d.lat {
+		total += int(c)
+	}
+	res.Latency.Grow(total)
 	for t, c := range d.lat {
 		for ; c > 0; c-- {
 			res.Latency.Add(float64(t))

@@ -378,3 +378,28 @@ func TestResultMatchesHistoryFold(t *testing.T) {
 		}
 	}
 }
+
+// TestResultAllocatesOnce: Result sizes the latency sample from the
+// histogram's total before filling it, so summarizing a run costs one
+// allocation however many messages were delivered, not one per doubling
+// of the sample.
+func TestResultAllocatesOnce(t *testing.T) {
+	d, err := NewDriver(freshNet(t, 4), Config{
+		Rate: 0.05, PayloadLen: 2, Measure: 4000, Drain: 50_000, Pattern: NeighbourDest, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for more := true; more; {
+		if more, err = d.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := d.Result()
+	if res.Latency.Count() < 1000 {
+		t.Fatalf("only %d deliveries measured; the check needs a sample large enough to double many times", res.Latency.Count())
+	}
+	if allocs := testing.AllocsPerRun(5, func() { d.Result() }); allocs > 1 {
+		t.Fatalf("Result allocated %v times for %d latencies, want 1", allocs, res.Latency.Count())
+	}
+}

@@ -6,6 +6,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -34,7 +35,7 @@ func (s *Summary) Add(x float64) {
 }
 
 // Merge folds another summary into this one using the pairwise
-// (Chan et al.) update, so sharded or windowed collection composes:
+// (Chan et al.) update, so partitioned or windowed collection composes:
 // merging the summaries of any split of a stream yields the same
 // count, mean, variance and extremes as a single pass (up to float
 // rounding).
@@ -96,6 +97,12 @@ type Sample struct {
 func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
 	s.sorted = false
+}
+
+// Grow reserves room for n more observations, so a caller that knows its
+// count up front pays one allocation instead of append's doublings.
+func (s *Sample) Grow(n int) {
+	s.xs = slices.Grow(s.xs, n)
 }
 
 // Count reports the number of observations.

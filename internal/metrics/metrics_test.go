@@ -99,6 +99,29 @@ func TestSamplePercentiles(t *testing.T) {
 	}
 }
 
+// TestSampleGrow: after Grow(n), n Adds allocate nothing, and the sample
+// answers exactly as one built by plain Adds.
+func TestSampleGrow(t *testing.T) {
+	var grown, plain Sample
+	// AllocsPerRun calls the function twice: a warm-up and one measured run.
+	grown.Grow(128)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 64; i++ {
+			grown.Add(float64(i % 7))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Adds within the Grow reservation allocated %v times, want 0", allocs)
+	}
+	for i := 0; i < 128; i++ {
+		plain.Add(float64(i % 64 % 7))
+	}
+	if grown.Count() != plain.Count() || grown.Mean() != plain.Mean() || grown.Percentile(90) != plain.Percentile(90) {
+		t.Errorf("grown sample diverged: count %d/%d mean %v/%v p90 %v/%v", grown.Count(), plain.Count(),
+			grown.Mean(), plain.Mean(), grown.Percentile(90), plain.Percentile(90))
+	}
+}
+
 func TestSamplePercentileAfterInterleavedAdds(t *testing.T) {
 	var s Sample
 	s.Add(5)

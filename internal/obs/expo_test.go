@@ -114,11 +114,11 @@ func TestLabelledHistogramGrouping(t *testing.T) {
 func TestParserRejectsInvalid(t *testing.T) {
 	cases := map[string]string{
 		"sample without header": "orphan_total 3\n",
-		"duplicate TYPE": "# HELP x h\n# TYPE x counter\n# TYPE x counter\nx 1\n",
-		"TYPE after samples": "# HELP x h\n# TYPE x counter\nx 1\n# TYPE y gauge\n# HELP y h\n",
-		"unknown type": "# HELP x h\n# TYPE x histo\n",
-		"bad value": "# HELP x h\n# TYPE x counter\nx notanumber\n",
-		"unterminated labels": "# HELP x h\n# TYPE x counter\nx{a=\"b\" 1\n",
+		"duplicate TYPE":        "# HELP x h\n# TYPE x counter\n# TYPE x counter\nx 1\n",
+		"TYPE after samples":    "# HELP x h\n# TYPE x counter\nx 1\n# TYPE y gauge\n# HELP y h\n",
+		"unknown type":          "# HELP x h\n# TYPE x histo\n",
+		"bad value":             "# HELP x h\n# TYPE x counter\nx notanumber\n",
+		"unterminated labels":   "# HELP x h\n# TYPE x counter\nx{a=\"b\" 1\n",
 	}
 	for name, text := range cases {
 		if _, err := ParseExposition(strings.NewReader(text)); err == nil {

@@ -1,11 +1,10 @@
 // Package parallel fans independent simulation runs across worker
 // goroutines with deterministic, index-ordered result collection.
 //
-// Three packages in this repository may spawn goroutines around
-// simulator state: this one (whole independent runs), internal/shard
-// (arc workers inside one run, behind audited //rmbvet:allow waivers),
-// and internal/service (the rmbd job pool, where each worker goroutine
-// owns one network outright for the lifetime of its job).
+// Two packages in this repository may spawn goroutines around simulator
+// state: this one (whole independent runs) and internal/service (the
+// rmbd job pool, where each worker goroutine owns one network outright
+// for the lifetime of its job).
 // This package preserves determinism by construction: each task index is
 // executed by exactly one worker, every task owns its inputs (its own
 // core.Network, RNG, workload) exclusively, and results land in a slice
@@ -13,9 +12,7 @@
 // to a sequential loop regardless of worker count or OS scheduling.
 // Nothing here may be imported by internal/core, internal/sim or
 // internal/flit (rmbvet enforces the inverse: those tiers cannot use the
-// go statement; internal/core reaches worker-count normalization through
-// shard.Workers, which deliberately duplicates Workers' rule instead of
-// importing this package — see the comment there).
+// go statement).
 package parallel
 
 import (

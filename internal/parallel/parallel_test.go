@@ -136,8 +136,7 @@ func TestMapSimulationsDeterministic(t *testing.T) {
 }
 
 // TestWorkersNormalization pins the -j flag convention shared by every
-// consumer (rmbsweep, rmbbench, and the sharded scheduler via
-// shard.Workers): non-positive means "use the machine", anything else
+// consumer (rmbsweep, rmbbench): non-positive means "use the machine", anything else
 // passes through untouched — including absurdly large requests, which
 // callers clamp against their own work size, not here.
 func TestWorkersNormalization(t *testing.T) {

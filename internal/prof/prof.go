@@ -1,6 +1,6 @@
 // Package prof wires the standard pprof profilers behind the
 // -cpuprofile / -memprofile flags the CLIs share, so a slow sweep or a
-// sharded-scheduler run can be profiled without editing code:
+// large-ring run can be profiled without editing code:
 //
 //	rmbsim -nodes 256 -pattern shift -cpuprofile cpu.out
 //	go tool pprof cpu.out

@@ -27,7 +27,7 @@ import (
 //     submission only hits an entry that carries trace bytes.
 //   - core.Config is resolved through WithDefaults, so explicit defaults
 //     and omitted knobs hash identically.
-//   - Scheduler, Workers and Audit are zeroed: every scheduler produces
+//   - Scheduler and Audit are zeroed: every scheduler produces
 //     bit-identical observable results (the repo's central differential
 //     claim), so they must share one cache line. Recorder never
 //     serializes.
@@ -45,7 +45,6 @@ type cacheKeySpec struct {
 func cacheKey(spec JobSpec) (string, error) {
 	cfg := spec.Config.WithDefaults()
 	cfg.Scheduler = core.SchedulerAuto
-	cfg.Workers = 0
 	cfg.Audit = false
 	cfg.Recorder = nil
 	w := spec.Workload

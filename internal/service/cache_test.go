@@ -179,11 +179,7 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 			s.Config.HeadTimeout = 4 * s.Config.Nodes
 			s.Config.JitterMax = 3
 		}},
-		{"scheduler ignored", func(s *JobSpec) { s.Config.Scheduler = core.SchedulerSharded }},
-		{"workers ignored", func(s *JobSpec) {
-			s.Config.Scheduler = core.SchedulerSharded
-			s.Config.Workers = 7
-		}},
+		{"scheduler ignored", func(s *JobSpec) { s.Config.Scheduler = core.SchedulerNaive }},
 		{"audit ignored", func(s *JobSpec) { s.Config.Audit = true }},
 		{"uniform alias", func(s *JobSpec) { s.Workload.Pattern = "uniform" }},
 		{"drain default", func(s *JobSpec) { s.Workload.Drain = 100 * int64(s.Config.Nodes) }},

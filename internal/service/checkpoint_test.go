@@ -271,9 +271,9 @@ var updateCorpus = flag.Bool("update", false, "rewrite the committed fuzz seed c
 // TestCheckpointFuzzCorpus keeps FuzzDecodeCheckpoint's committed seed
 // corpus made of real job checkpoints in the current format: every
 // generated file must decode, and its core bytes restore. Run with
-// -update to regenerate them after a format change. The v2- seeds are
-// real job checkpoints of an older format, kept as inputs the decoder
-// must refuse as unsupported.
+// -update to regenerate them after a format change. The v2- and v3-
+// seeds are real job checkpoints of older formats, kept as inputs the
+// decoder must refuse as unsupported.
 func TestCheckpointFuzzCorpus(t *testing.T) {
 	traced := smallSpec(4)
 	traced.Trace, traced.Workload.Pattern = true, "neighbour"
@@ -321,21 +321,23 @@ func TestCheckpointFuzzCorpus(t *testing.T) {
 			t.Fatalf("%s no longer decodes (run with -update after a format change): %v", path, err)
 		}
 	}
-	old, err := filepath.Glob(filepath.Join(dir, "v2-*"))
-	if err != nil || len(old) == 0 {
-		t.Fatalf("no v2 seed in %s: %v", dir, err)
-	}
-	for _, path := range old {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+	for _, v := range []string{"v2", "v3"} {
+		old, err := filepath.Glob(filepath.Join(dir, v+"-*"))
+		if err != nil || len(old) == 0 {
+			t.Fatalf("no %s seed in %s: %v", v, dir, err)
 		}
-		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n"))
-		if err != nil {
-			t.Fatalf("%s: not a []byte corpus entry: %v", path, err)
-		}
-		if _, err := DecodeCheckpoint([]byte(data)); !errors.Is(err, ErrUnsupportedVersion) {
-			t.Fatalf("%s: got %v, want ErrUnsupportedVersion", path, err)
+		for _, path := range old {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n"))
+			if err != nil {
+				t.Fatalf("%s: not a []byte corpus entry: %v", path, err)
+			}
+			if _, err := DecodeCheckpoint([]byte(data)); !errors.Is(err, ErrUnsupportedVersion) {
+				t.Fatalf("%s: got %v, want ErrUnsupportedVersion", path, err)
+			}
 		}
 	}
 }

@@ -405,10 +405,12 @@ type Checkpoint struct {
 }
 
 // CheckpointVersion is the current job-checkpoint envelope version.
-// Version 3 carries the driver's measurement aggregates in the header and
-// a version 3 core checkpoint; a version 2 envelope (whose core carried
-// the whole message history instead) is refused as unsupported.
-const CheckpointVersion = 3
+// Version 4 carries the driver's measurement aggregates in the header and
+// a version 4 core checkpoint. Older envelopes are refused as
+// unsupported: a version 2 core carried the whole message history, and a
+// version 3 header's spec (like its core's Config section) still named
+// the retired Workers field.
+const CheckpointVersion = 4
 
 // The job envelope frames a small JSON header (id, spec, driver) and the
 // core checkpoint bytes, which it carries opaquely:

@@ -658,13 +658,9 @@ func (m *Manager) restoreNetwork(shape core.Config, data []byte) (*core.Network,
 // releaseNetwork returns a job's network when the job ends, parking it
 // for reuse when pooling is on.
 func (m *Manager) releaseNetwork(n *core.Network) {
-	if m.pool == nil {
-		if n != nil {
-			n.Close()
-		}
-		return
+	if m.pool != nil {
+		m.pool.release(n)
 	}
-	m.pool.release(n)
 }
 
 // cacheInsert memoizes a completed Submit-path run (resumed jobs carry

@@ -56,7 +56,6 @@ func (p *netPool) acquire(cfg core.Config) (*core.Network, bool, error) {
 		}
 		if err := n.Reset(cfg); err != nil {
 			p.resetFailures.Add(1)
-			n.Close()
 			continue
 		}
 		p.reuses.Add(1)
@@ -79,7 +78,6 @@ func (p *netPool) restore(shape core.Config, data []byte) (*core.Network, error)
 			p.reuses.Add(1)
 			return n, nil
 		}
-		n.Close()
 	}
 	return core.UnmarshalCheckpoint(data)
 }
@@ -100,15 +98,12 @@ func (p *netPool) take(key poolKey) *core.Network {
 }
 
 // release parks a finished network for reuse, or drops it when the
-// shape's slots are full. The network's recorder is detached (so the
-// pool never pins a finished job's trace sink) and any sharded worker
-// pool is torn down — Reset rebuilds one if the next config asks for it,
-// and parked networks must not hold goroutines.
+// shape's slots are full. The network's recorder is detached so the pool
+// never pins a finished job's trace sink.
 func (p *netPool) release(n *core.Network) {
 	if n == nil {
 		return
 	}
-	n.Close()
 	n.SetRecorder(nil)
 	cfg := n.Config()
 	key := poolKey{cfg.Nodes, cfg.Buses}

@@ -903,6 +903,53 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsRetiredSchedulerFields pins the wire form left by the
+// retired sharded scheduler: a spec naming the removed Config.Workers
+// field fails JSON decoding, and one asking for scheduler mode 3 (the
+// old SchedulerSharded) fails validation. Both are 400s carrying the
+// JSON error body, never an accepted job.
+func TestHTTPRejectsRetiredSchedulerFields(t *testing.T) {
+	m, err := NewManager(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	srv := httptest.NewServer(NewAPI(m).Handler())
+	defer srv.Close()
+
+	for _, tc := range []struct {
+		name, config, want string
+	}{
+		{"workers", `{"Nodes":12,"Buses":3,"Workers":4}`, `unknown field "Workers"`},
+		{"scheduler 3", `{"Nodes":12,"Buses":3,"Scheduler":3}`, "unknown scheduler mode 3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := `{"config":` + tc.config + `,"workload":{"rate":0.01,"measure":100}}`
+			resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400", resp.StatusCode)
+			}
+			if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+				t.Fatalf("content type %q, want JSON", ct)
+			}
+			var e errorBody
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatalf("error body is not JSON: %v", err)
+			}
+			if !strings.Contains(e.Error, tc.want) {
+				t.Fatalf("error %q does not mention %q", e.Error, tc.want)
+			}
+		})
+	}
+	if n := len(m.List()); n != 0 {
+		t.Fatalf("%d jobs admitted, want none", n)
+	}
+}
+
 // TestJobDeadline submits an effectively endless job with a 1-second
 // wall-clock budget and requires it to fail with a deadline error.
 func TestJobDeadline(t *testing.T) {

@@ -13,14 +13,9 @@
 #             Faster than seed because the allocation work (arenas, dense
 #             records, plan-buffer reuse) is shared by both modes.
 #   event   - HEAD with -rmbsched=event: the default scheduler.
-#   sharded - HEAD with -rmbsched=sharded -rmbworkers 4: every network
-#             steps through the arc-worker pool (trace-identical to
-#             event; the delta is pure coordination cost or speedup,
-#             depending on how many cores the host really has).
 #   soa     - the SoA tick-kernel gate: HugeRingSaturated at N=256/1024/
-#             4096 plus the sharded P curve, measured at 100 iterations
-#             x3 so the CI benchcmp compares real minima rather than the
-#             1x smoke numbers above. The presoa note freezes the same
+#             4096, measured at 100 iterations x3 so the CI benchcmp
+#             compares real minima rather than the 1x smoke numbers above. The presoa note freezes the same
 #             benchmarks measured at commit 693fc7b (the last pre-SoA
 #             commit) with this identical harness. The go toolchain and
 #             CPU ride along in the section (goversion/cpu fields).
@@ -42,13 +37,12 @@ serviceflags="-run ^$ -bench ServiceThroughput -benchtime=100x -count=3"
 
 naive=$(go test $benchflags -rmbsched=naive . | go run ./cmd/rmbbench -benchjson)
 event=$(go test $benchflags -rmbsched=event . | go run ./cmd/rmbbench -benchjson)
-sharded=$(go test $benchflags -rmbsched=sharded -rmbworkers 4 . | go run ./cmd/rmbbench -benchjson)
 soa=$(go test $soaflags . | go run ./cmd/rmbbench -benchjson)
 service=$(go test $serviceflags ./internal/service/ | go run ./cmd/rmbbench -benchjson)
 
 cat >"$out" <<EOF
 {
-  "comment": "generated by scripts/bench.sh; seed section is frozen at commit 372faff (pre-scheduler-rework), naive/event/sharded are re-measured on HEAD",
+  "comment": "generated by scripts/bench.sh; seed section is frozen at commit 372faff (pre-scheduler-rework), naive/event are re-measured on HEAD",
   "seed": {
     "commit": "372faff",
     "note": "naive full-rescan Step was the only scheduler; measured with -benchtime=200ms on an Intel Xeon @ 2.10GHz",
@@ -69,7 +63,6 @@ cat >"$out" <<EOF
   },
   "naive": $naive,
   "event": $event,
-  "sharded": $sharded,
   "soa": $soa,
   "service": $service
 }
