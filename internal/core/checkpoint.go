@@ -64,7 +64,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"reflect"
 	"slices"
 
@@ -304,19 +303,6 @@ func (st *ckptState) sizeHint() int {
 	}
 	return 4096 + words + 16*len(st.Records) + 8*len(st.INCs) +
 		64*len(st.Active) + 8*(len(st.Pending)+len(st.Retries)+len(st.Wheel))
-}
-
-// WriteCheckpoint writes MarshalCheckpoint's output to w, byte for byte
-// (no terminator: the reader accepts exactly these bytes).
-func (n *Network) WriteCheckpoint(w io.Writer) error {
-	data, err := n.MarshalCheckpoint()
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	return nil
 }
 
 // checkpointConfig derives the serialized Config: the effective
@@ -782,48 +768,55 @@ func (c *ckptCodec) wheel(s *[]ckptWake) {
 	column(*s, func(w *ckptWake) { delta(c, &w.VB, &id) })
 }
 
-// UnmarshalCheckpoint rebuilds a network from MarshalCheckpoint output.
-// The returned network has no recorder installed (attach one with
-// SetRecorder); its future behaviour is bit-identical to the
-// checkpointed original's. Corrupt input — truncation, bit flips,
-// version skew, trailing bytes, or internally inconsistent state —
-// returns an error; another format version returns ErrUnsupportedVersion.
+// UnmarshalCheckpoint rebuilds a network from MarshalCheckpoint output:
+// it allocates a network of the checkpoint's shape and restores into it
+// as RestoreCheckpoint does. The returned network has no recorder
+// installed (attach one with SetRecorder); its future behaviour is
+// bit-identical to the checkpointed original's. Corrupt input —
+// truncation, bit flips, version skew, trailing bytes, or internally
+// inconsistent state — returns an error; another format version returns
+// ErrUnsupportedVersion.
 func UnmarshalCheckpoint(data []byte) (*Network, error) {
 	st, err := decodeCheckpoint(data)
 	if err != nil {
 		return nil, err
 	}
-	return restoreNetwork(st)
+	n, err := allocNetwork(st.Cfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint: config: %w", err)
+	}
+	if err := n.restore(st); err != nil {
+		return nil, err
+	}
+	return n, nil
 }
 
-// RestoreCheckpoint is UnmarshalCheckpoint into an existing network of
-// the checkpoint's shape: n is re-armed with Reset and then takes the
-// checkpoint's state, keeping its storage — arenas, freelists and the
-// capacity of its message history — so a resumed run does not regrow
-// what a previous run already sized. The result is indistinguishable
-// from UnmarshalCheckpoint's network. On error n is in an unspecified
-// state; the caller must Reset it again or drop it.
+// RestoreCheckpoint restores a checkpoint into an existing network of
+// its shape: n is re-armed with Reset and then takes the checkpoint's
+// state, keeping its storage — arenas, freelists and the capacity of its
+// message window — so a resumed run does not regrow what a previous run
+// already sized. On error n is in an unspecified state; the caller must
+// Reset it again or drop it.
 func (n *Network) RestoreCheckpoint(data []byte) error {
 	st, err := decodeCheckpoint(data)
 	if err != nil {
 		return err
 	}
-	if err := validateCkptShape(st); err != nil {
-		return err
-	}
-	if err := n.Reset(st.Cfg); err != nil {
-		return fmt.Errorf("core: checkpoint: config: %w", err)
-	}
 	return n.restore(st)
 }
 
-// decodeCheckpoint checks the frame and decodes the body it guards.
+// decodeCheckpoint checks the frame, decodes the body it guards and
+// checks the decoded arrays fit the configured shape.
 func decodeCheckpoint(data []byte) (*ckptState, error) {
 	body, err := checkpointBody(data)
 	if err != nil {
 		return nil, err
 	}
-	return decodeCheckpointState(body)
+	st, err := decodeCheckpointState(body)
+	if err != nil {
+		return nil, err
+	}
+	return st, validateCkptShape(st)
 }
 
 // checkpointBody checks the frame — magic, version, checksum — and
@@ -869,39 +862,15 @@ func decodeCheckpointState(body []byte) (*ckptState, error) {
 	return st, nil
 }
 
-// ReadCheckpoint reads one checkpoint from r (consuming it fully) and
-// rebuilds the network.
-func ReadCheckpoint(r io.Reader) (*Network, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint: %w", err)
-	}
-	return UnmarshalCheckpoint(data)
-}
-
-// restoreNetwork rebuilds a live Network from decoded checkpoint state,
-// closing it again if the state turns out inconsistent.
-func restoreNetwork(st *ckptState) (*Network, error) {
-	if err := validateCkptShape(st); err != nil {
-		return nil, err
-	}
-	n, err := NewNetwork(st.Cfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint: config: %w", err)
-	}
-	if err := n.restore(st); err != nil {
-		n.Close()
-		return nil, err
-	}
-	return n, nil
-}
-
-// restore overwrites a freshly constructed (or freshly Reset) network
-// with st. The order matters: the construction-time RNG draws are
-// already made, so overwrite clock/RNG, rebuild buses and claim their
-// segments on a fault-free grid, then apply fault flags, then counters,
-// queues and timers — and finally Audit the whole reconstruction.
+// restore Resets the network to st's config and overwrites it with st.
+// The order matters: Reset makes the construction-time RNG draws, so
+// overwrite clock/RNG, rebuild buses and claim their segments on a
+// fault-free grid, then apply fault flags, then counters, queues and
+// timers — and finally Audit the whole reconstruction.
 func (n *Network) restore(st *ckptState) error {
+	if err := n.Reset(st.Cfg); err != nil {
+		return fmt.Errorf("core: checkpoint: config: %w", err)
+	}
 	cfg := n.cfg
 	if !reflect.DeepEqual(n.checkpointConfig(), st.Cfg) {
 		return errors.New("core: checkpoint: config is not in the effective form a checkpoint records")
@@ -974,8 +943,7 @@ func (n *Network) restore(st *ckptState) error {
 		if vb.ID > n.nextVB {
 			return fmt.Errorf("core: checkpoint: live vb%d above the allocation counter %d", vb.ID, n.nextVB)
 		}
-		n.active = append(n.active, vb)
-		n.growSlotBits()
+		n.addVB(vb)
 		for j, l := range vb.Levels {
 			h := int(vb.HopNode(j, cfg.Nodes))
 			if !n.segFree(h, l) {
@@ -983,24 +951,7 @@ func (n *Network) restore(st *ckptState) error {
 			}
 			n.claimSeg(h, l, vb)
 		}
-		switch vb.State {
-		case VBExtending:
-			n.fwdActive++
-		case VBTransferring, VBFinalPropagating:
-			n.fwdActive++
-			n.xferActive++
-		case VBHackReturning, VBFackReturning, VBNackReturning, VBFaultReturning:
-			n.bwdActive++
-		case VBDone, VBRefused:
-			return fmt.Errorf("core: checkpoint: terminal vb%d serialized as live", vb.ID)
-		default:
-			return fmt.Errorf("core: checkpoint: vb%d in unknown state %d", vb.ID, uint8(vb.State))
-		}
-		if vb.compactQuiet < compactQuietCycles {
-			n.compactAwake++
-		}
 	}
-	n.rebuildSlots() // slots, masks are set per-bus below; bitsets from states
 
 	// Fault flags after the claims; refreshFaultBits keeps occupied
 	// faulty segments busy, exactly as the live applyFault path does.
@@ -1111,6 +1062,12 @@ func validateCkptShape(st *ckptState) error {
 // destination and small-tap buffers the way insert would have.
 func restoreVB(n *Network, cv *ckptVB) (*VirtualBus, error) {
 	cfg := n.cfg
+	switch {
+	case cv.State == VBDone || cv.State == VBRefused:
+		return nil, fmt.Errorf("core: checkpoint: terminal vb%d serialized as live", cv.ID)
+	case !cv.State.Active():
+		return nil, fmt.Errorf("core: checkpoint: vb%d in unknown state %d", cv.ID, uint8(cv.State))
+	}
 	if !n.onRing(cv.Src) || !n.onRing(cv.Dst) || !n.onRing(cv.Head) {
 		return nil, fmt.Errorf("core: checkpoint: vb%d endpoints %d->%d (head %d) outside the ring", cv.ID, cv.Src, cv.Dst, cv.Head)
 	}
@@ -1155,7 +1112,6 @@ func restoreVB(n *Network, cv *ckptVB) (*VirtualBus, error) {
 	if err := vb.CheckLevelInvariant(cfg.Buses); err != nil {
 		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
-	vb.parityMask, vb.bottomMask = levelMasks(vb.Levels)
 	if len(cv.Dsts) > 1 {
 		vb.Dsts = append([]NodeID(nil), cv.Dsts...)
 	} else {

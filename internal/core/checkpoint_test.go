@@ -417,7 +417,7 @@ func withByte(data []byte, i int, b byte) []byte {
 }
 
 // TestCheckpointMidPhaseRefused pins the tick-boundary precondition: a
-// checkpoint is only meaningful between Steps, and WriteCheckpoint
+// checkpoint is only meaningful between Steps, and MarshalCheckpoint
 // refuses state captured anywhere else. (Dead buses awaiting the sweep
 // are the observable signature of mid-phase state; constructing one
 // requires reaching into the internals, which this package test may.)
@@ -436,42 +436,6 @@ func TestCheckpointMidPhaseRefused(t *testing.T) {
 		t.Fatalf("boundary checkpoint refused: %v", err)
 	}
 	n.Close()
-}
-
-// TestCheckpointWriterReader round-trips through the io.Writer/io.Reader
-// wrappers, which carry exactly MarshalCheckpoint's bytes: no terminator,
-// since the reader refuses trailing bytes.
-func TestCheckpointWriterReader(t *testing.T) {
-	cfg := checkpointZooConfig(2)
-	n, err := NewNetwork(cfg)
-	if err != nil {
-		t.Fatalf("NewNetwork: %v", err)
-	}
-	wrng := sim.NewRNG(11)
-	driveBernoulliTicks(t, n, wrng, 0, 200)
-	var buf bytes.Buffer
-	if err := n.WriteCheckpoint(&buf); err != nil {
-		t.Fatalf("WriteCheckpoint: %v", err)
-	}
-	want, err := n.MarshalCheckpoint()
-	if err != nil {
-		t.Fatalf("MarshalCheckpoint: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("WriteCheckpoint wrote %d bytes, not MarshalCheckpoint's %d", buf.Len(), len(want))
-	}
-	restored, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatalf("ReadCheckpoint: %v", err)
-	}
-	if restored.Now() != n.Now() {
-		t.Fatalf("restored clock %v, want %v", restored.Now(), n.Now())
-	}
-	if restored.Stats() != n.Stats() {
-		t.Fatalf("restored stats diverged:\n got:  %+v\n want: %+v", restored.Stats(), n.Stats())
-	}
-	n.Close()
-	restored.Close()
 }
 
 // FuzzUnmarshalCheckpoint feeds arbitrary bytes to the reader, both as

@@ -132,7 +132,7 @@ type Network struct {
 	awakeBits    bitset        // slot bits: compaction-awake buses
 	xferScan     bitset        // slot bits: wheel-woken transfers (forward phase only)
 	pendingBits  bitset        // node bits: non-empty insertion queues
-	pendingSlots []*request    // per-node inline queue slot (see initSoA)
+	pendingSlots []*request    // per-node inline queue slot (see Reset)
 	incStatus    []uint8       // packed per-INC status bytes (soa.go consts)
 	// xferActive counts buses in VBTransferring/VBFinalPropagating. With
 	// the wake wheel those buses leave the per-tick scans, so the forward
@@ -193,6 +193,25 @@ type request struct {
 
 // NewNetwork builds a network from cfg, applying documented defaults.
 func NewNetwork(cfg Config) (*Network, error) {
+	n, err := allocNetwork(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// allocNetwork validates cfg and allocates a network of its shape
+// (Nodes, Buses) holding its effective config; Reset or restore then
+// sets the state. Everything sized by the shape is built here. The
+// message-scale slices start with one ring's worth of headroom:
+// workloads submit at least O(Nodes) messages, and paying the
+// append-doubling memmoves per network shows up in every benchmark that
+// constructs one per iteration. The bare allocation is an empty ring
+// under its config's port budgets, so Reset's pre-audit passes on it.
+func allocNetwork(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -200,7 +219,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n := &Network{
 		cfg:           cfg,
 		clock:         sim.NewClock(),
-		rng:           sim.NewRNG(cfg.Seed ^ 0x524d42), // "RMB"
+		rng:           sim.NewRNG(0),
 		occ:           make([][]VBID, cfg.Nodes),
 		occFlat:       make([]VBID, cfg.Nodes*cfg.Buses),
 		incs:          make([]incState, cfg.Nodes),
@@ -210,47 +229,19 @@ func NewNetwork(cfg Config) (*Network, error) {
 		segFaulty:     make([][]bool, cfg.Nodes),
 		segFaultyFlat: make([]bool, cfg.Nodes*cfg.Buses),
 		incFaulty:     make([]bool, cfg.Nodes),
-		rec:           nopRecorder{},
-		// Message-scale slices start with one ring's worth of headroom:
-		// workloads submit at least O(Nodes) messages, and paying the
-		// append-doubling memmoves per network shows up in every benchmark
-		// that constructs one per iteration.
-		recBase: 1,
-		active:  make([]*VirtualBus, 0, cfg.Nodes),
-		wheel:   make([]wakeEntry, 0, cfg.Nodes),
-		vbFree:  make([]*VirtualBus, 0, cfg.Nodes),
-		reqFree: make([]*request, 0, cfg.Nodes),
-		planBuf: make([]plannedMove, 0, cfg.Nodes),
+		recBase:       1,
+		active:        make([]*VirtualBus, 0, cfg.Nodes),
+		wheel:         make([]wakeEntry, 0, cfg.Nodes),
+		vbFree:        make([]*VirtualBus, 0, cfg.Nodes),
+		reqFree:       make([]*request, 0, cfg.Nodes),
+		planBuf:       make([]plannedMove, 0, cfg.Nodes),
 	}
 	n.growWindow(cfg.Nodes)
-	n.naive = cfg.Scheduler == SchedulerNaive
-	if cfg.Mode == Async {
-		n.asyncDirty = make([]bool, cfg.Nodes)
-	}
-	if cfg.Recorder != nil {
-		n.rec = cfg.Recorder
-		n.recOn = true
-	}
 	for h := range n.occ {
 		n.occ[h] = n.occFlat[h*cfg.Buses : (h+1)*cfg.Buses : (h+1)*cfg.Buses]
 		n.segFaulty[h] = n.segFaultyFlat[h*cfg.Buses : (h+1)*cfg.Buses : (h+1)*cfg.Buses]
 	}
 	n.initSoA()
-	// idDelay jitters the async CycleFSM countdowns. Lockstep networks
-	// never read it, but the draws must happen unconditionally anyway:
-	// every retry backoff and head-timeout randomization shares this RNG,
-	// so skipping N construction draws would shift the whole stream and
-	// silently change every fixed-seed trajectory (goldens, EXPERIMENTS
-	// numbers) while the scheduler differentials — which share the shifted
-	// stream — kept passing.
-	for i := range n.incs {
-		n.incs[i].idDelay = 1 + n.rng.Intn(cfg.JitterMax)
-	}
-	if len(cfg.Faults.Events) > 0 {
-		if err := n.InjectFaults(cfg.Faults); err != nil {
-			return nil, err
-		}
-	}
 	return n, nil
 }
 
@@ -665,8 +656,8 @@ func (n *Network) addVB(vb *VirtualBus) {
 	vb.slot = int32(len(n.active) - 1)
 	vb.parityMask, vb.bottomMask = levelMasks(vb.Levels)
 	n.growSlotBits()
-	// insert always registers buses in VBExtending; the other arms admit
-	// the conformance tests' hand-planted established buses.
+	// insert always registers fresh buses in VBExtending; the other arms
+	// admit restored and hand-planted established buses.
 	switch vb.State {
 	case VBExtending:
 		n.extBits.set(int(vb.slot))
@@ -680,8 +671,12 @@ func (n *Network) addVB(vb *VirtualBus) {
 	case VBDone, VBRefused:
 		// Terminal states belong to neither phase population.
 	}
-	n.awakeBits.set(int(vb.slot))
-	n.compactAwake++ // a fresh bus starts awake (compactQuiet is zero)
+	// A fresh bus starts awake (compactQuiet is zero); a restored one
+	// keeps its checkpointed quiescence streak.
+	if vb.compactQuiet < compactQuietCycles {
+		n.awakeBits.set(int(vb.slot))
+		n.compactAwake++
+	}
 }
 
 // removeVB unregisters a virtual bus that has fully torn down. The bus

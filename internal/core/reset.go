@@ -2,16 +2,18 @@ package core
 
 import "fmt"
 
-// Reset re-arms an existing network to run cfg from tick zero, reusing
-// every expensive long-lived allocation a fresh NewNetwork would rebuild:
-// the occupancy grids and their flat backings, the SoA mirror word
-// arrays, the VirtualBus / request freelists and chunk arenas, the slot
-// carve arenas, the message window and its payload buffers, and the
-// event-queue backing arrays. The observable state after Reset is
-// bit-identical to NewNetwork(cfg) — same RNG stream position, same
-// construction-time idDelay draws, same timer (At, Seq) assignment —
-// which TestResetMatchesFresh pins by comparing full-state checkpoints,
-// traces and stats across seeds, schedulers and chaos fault plans.
+// Reset arms the network to run cfg from tick zero. It is the one place
+// that sets a network's config-dependent state — the RNG seed and its
+// construction-time idDelay draws, the recorder, the scheduler and Async
+// flags, the fault plan — and the second half of NewNetwork, which
+// allocates a bare network and Resets it. A network that already ran
+// keeps every long-lived allocation: the occupancy grids and their flat
+// backings, the SoA mirror word arrays, the VirtualBus / request
+// freelists and chunk arenas, the slot carve arenas, the message window
+// and its payload buffers, and the event-queue backing arrays. A reused
+// network therefore runs exactly as a fresh one, which
+// TestResetMatchesFresh pins by comparing full-state checkpoints, traces
+// and stats across seeds, schedulers and chaos fault plans.
 //
 // The geometry (Nodes, Buses) must match the network's current shape:
 // every grid, mirror and arena is sized by it, and the service-layer
@@ -40,21 +42,13 @@ func (n *Network) Reset(cfg Config) error {
 
 	n.cfg = cfg
 	n.clock.Reset()
-	// NewRNG stores the seed verbatim as the SplitMix64 state, so
-	// restoring it reproduces the construction-time stream exactly.
 	n.rng.Restore(cfg.Seed ^ 0x524d42) // "RMB"
 
 	// Occupancy and fault grids: the rows still alias the flat backings
 	// (shape is unchanged), so zeroing the backings clears both views.
-	for i := range n.occFlat {
-		n.occFlat[i] = 0
-	}
-	for i := range n.segFaultyFlat {
-		n.segFaultyFlat[i] = false
-	}
-	for i := range n.incFaulty {
-		n.incFaulty[i] = false
-	}
+	clear(n.occFlat)
+	clear(n.segFaultyFlat)
+	clear(n.incFaulty)
 	n.faultySegments = 0
 
 	// Park every live bus on the freelist for insert to recycle — the
@@ -69,6 +63,11 @@ func (n *Network) Reset(cfg Config) error {
 	// Recycle queued requests and restore each node's inline queue slot.
 	// Send overwrites every field of a recycled request, so requests from
 	// the dropped run (multicast included) are safe to hand back out.
+	// Every queue starts as a cap-1 slice over the shared slot array, so
+	// the common one-outstanding-request case never allocates: queuePush
+	// fills the inline slot, and queuePop hands the slot back once the
+	// queue drains. Deeper queues spill to ordinary append-grown slices
+	// until they next empty.
 	for node := range n.pending {
 		for i, req := range n.pending[node] {
 			n.reqFree = append(n.reqFree, req)
@@ -84,15 +83,11 @@ func (n *Network) Reset(cfg Config) error {
 	n.retries.Reset()
 	n.faults.Reset()
 
-	for i := range n.incs {
-		n.incs[i] = incState{}
-	}
+	clear(n.incs)
 
 	n.nextVB = 0
 	n.stats = Stats{}
 	n.resetWindow()
-	n.rec = nopRecorder{}
-	n.recOn = false
 	n.globalCycle = 0
 	n.insertRotate = 0
 	n.naive = cfg.Scheduler == SchedulerNaive
@@ -109,9 +104,7 @@ func (n *Network) Reset(cfg Config) error {
 		if n.asyncDirty == nil {
 			n.asyncDirty = make([]bool, cfg.Nodes)
 		} else {
-			for i := range n.asyncDirty {
-				n.asyncDirty[i] = false
-			}
+			clear(n.asyncDirty)
 		}
 	} else {
 		n.asyncDirty = nil
@@ -122,43 +115,29 @@ func (n *Network) Reset(cfg Config) error {
 	// recovering it; slot bitsets keep their capacity (they never shrink
 	// and rebuildSlots zeroes full width, so stale words cannot revive).
 	for l := range n.occBits {
-		for w := range n.occBits[l] {
-			n.occBits[l][w] = 0
-			n.faultyBits[l][w] = 0
-			n.busyBits[l][w] = 0
-		}
+		clear(n.occBits[l])
+		clear(n.faultyBits[l])
+		clear(n.busyBits[l])
 	}
-	for i := range n.occVB {
-		n.occVB[i] = nil
-	}
-	zeroBits(n.extBits)
-	zeroBits(n.bwdBits)
-	zeroBits(n.awakeBits)
-	zeroBits(n.xferScan)
-	zeroBits(n.pendingBits)
-	for i := range n.incStatus {
-		n.incStatus[i] = 0
-	}
-	if cfg.MaxSendPerNode <= 0 || cfg.MaxRecvPerNode <= 0 {
-		// Mirror initSoA's degenerate-budget derivation; unreachable
-		// through Validate+withDefaults but kept so Reset and initSoA can
-		// never disagree on the packed bytes.
-		for node := range n.incStatus {
-			n.refreshSendStatus(NodeID(node))
-			n.refreshRecvStatus(NodeID(node))
-		}
-	}
+	clear(n.occVB)
+	clear(n.extBits)
+	clear(n.bwdBits)
+	clear(n.awakeBits)
+	clear(n.xferScan)
+	clear(n.pendingBits)
+	clear(n.incStatus)
 	n.wheel = n.wheel[:0]
+	n.SetRecorder(cfg.Recorder)
 
-	if cfg.Recorder != nil {
-		n.rec = cfg.Recorder
-		n.recOn = true
-	}
-
-	// Construction-time draws, in NewNetwork's exact order: the idDelay
-	// jitters first (unconditionally — see NewNetwork's RNG-discipline
-	// comment), then the fault plan's validation and scheduling (which
-	// draws nothing but assigns timer sequence numbers).
+	// Construction-time draws: the idDelay jitters first, then the fault
+	// plan's validation and scheduling (which draws nothing but assigns
+	// timer sequence numbers). idDelay jitters the async CycleFSM
+	// countdowns. Lockstep networks never read it, but the draws must
+	// happen unconditionally anyway: every retry backoff and head-timeout
+	// randomization shares this RNG, so skipping N construction draws
+	// would shift the whole stream and silently change every fixed-seed
+	// trajectory (goldens, EXPERIMENTS numbers) while the scheduler
+	// differentials — which share the shifted stream — kept passing.
 	for i := range n.incs {
 		n.incs[i].idDelay = 1 + n.rng.Intn(cfg.JitterMax)
 	}
@@ -168,11 +147,4 @@ func (n *Network) Reset(cfg Config) error {
 		}
 	}
 	return nil
-}
-
-// zeroBits clears every word of a bitset in place.
-func zeroBits(b bitset) {
-	for i := range b {
-		b[i] = 0
-	}
 }

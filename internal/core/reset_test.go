@@ -8,8 +8,38 @@ import (
 	"strings"
 	"testing"
 
+	"rmb/internal/invariant"
 	"rmb/internal/sim"
 )
+
+// TestConstructionAllocs pins the allocation budget of the two ways a
+// run starts. NewNetwork is one allocNetwork — every shape-sized array
+// and the ring-sized headroom of the message-scale slices — and a Reset
+// that allocates nothing; a pooled network's re-arm is that Reset alone,
+// so it must stay at zero at every ring size.
+func TestConstructionAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("Reset's pre-audit allocates under the invariants tag")
+	}
+	for _, shape := range [][2]int{{16, 3}, {64, 4}, {1024, 8}} {
+		cfg := Config{Nodes: shape[0], Buses: shape[1], Seed: 1}
+		if got := testing.AllocsPerRun(10, func() {
+			if _, err := NewNetwork(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 26 {
+			t.Errorf("%dx%d: NewNetwork allocates %.0f times, want at most 26", shape[0], shape[1], got)
+		}
+		n := mustNetwork(t, cfg)
+		if got := testing.AllocsPerRun(10, func() {
+			if err := n.Reset(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%dx%d: Reset allocates %.0f times, want 0", shape[0], shape[1], got)
+		}
+	}
+}
 
 // TestResetMatchesFresh is the tentpole correctness proof for in-place
 // network reuse: for every seed in the checkpoint zoo (both sync modes,

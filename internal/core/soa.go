@@ -87,7 +87,7 @@ const (
 	incDown
 )
 
-// initSoA sizes the fixed-width mirrors at construction. The slot
+// initSoA sizes the fixed-width mirrors for allocNetwork. The slot
 // bitsets start empty and grow with the active set in addVB.
 func (n *Network) initSoA() {
 	k := n.cfg.Buses
@@ -107,26 +107,9 @@ func (n *Network) initSoA() {
 	n.busyFlat = words[2*k*nw : 3*k*nw : 3*k*nw]
 	n.soaNW = nw
 	n.occVB = make([]*VirtualBus, n.cfg.Nodes*k)
-	// Every node's queue starts as a cap-1 slice over the shared slot
-	// array, so the common one-outstanding-request case never allocates:
-	// queuePush fills the inline slot, and queuePop hands the slot back
-	// once the queue drains. Deeper queues spill to ordinary append-grown
-	// slices until they next empty.
-	n.pendingSlots = make([]*request, n.cfg.Nodes)
-	for i := range n.pending {
-		n.pending[i] = n.pendingSlots[i : i : i+1]
-	}
+	n.pendingSlots = make([]*request, n.cfg.Nodes) // Reset points each queue at its slot
 	n.pendingBits = make(bitset, nw)
 	n.incStatus = make([]uint8, n.cfg.Nodes)
-	if n.cfg.MaxSendPerNode <= 0 || n.cfg.MaxRecvPerNode <= 0 {
-		// Zero port counters against positive budgets derive all-zero
-		// status bytes, which make already produced; only a degenerate
-		// (non-positive) budget needs the per-node derivation.
-		for node := range n.incStatus {
-			n.refreshSendStatus(NodeID(node))
-			n.refreshRecvStatus(NodeID(node))
-		}
-	}
 }
 
 // occupant returns the virtual bus occupying segment l of hop h, or nil
